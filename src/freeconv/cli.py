@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,12 +31,13 @@ import numpy as np
 from .complexfn import cauchy
 from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
-from .experiments import (functional_residuals, rate_experiment,
+from .experiments import (HARNESS_OPTIONS, SUPPORT_OPTIONS,
+                          functional_residuals, rate_experiment,
                           rate_report_csv, support_experiment)
 from .inversion import (delta_eps, kolmogorov, levy, recover)
 from .measures import Measure, arcsine_cdf, semicircle_cdf
 from .sphere import WeightVector, concentration_report, sample, vector_stats
-from .subordination import SolveOptions, solve_grid
+from .subordination import SolveOptions, g_free_grid
 
 _FMT = "%.17g"
 
@@ -44,11 +46,8 @@ CONFIG_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 
 def _load_measure(spec: str) -> Measure:
     if os.path.exists(spec) or spec.endswith(".json"):
-        try:
-            with open(spec) as fh:
-                return Measure.from_json(fh.read())
-        except OSError as exc:
-            raise  # handled by exit-code protocol
+        with open(spec) as fh:
+            return Measure.from_json(fh.read())
     return Measure.from_preset(spec)
 
 
@@ -95,14 +94,12 @@ def _json_report(args, cfg: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=_default) + "\n"
 
 
-def _solver_opts(args, tol=1e-12, max_iters=100000) -> SolveOptions | None:
-    """Explicit flags win; otherwise None, letting each harness apply its
-    own documented default (support runs want a looser tolerance)."""
-    if args.tol is None and args.max_iters is None and args.damping is None:
-        return None
-    return SolveOptions(tol=args.tol if args.tol is not None else tol,
-                        max_iters=args.max_iters if args.max_iters is not None else max_iters,
-                        damping=args.damping if args.damping is not None else 1.0)
+def _solver_opts(args, default: SolveOptions) -> SolveOptions:
+    """The subcommand's default options with each solver flag given on the
+    command line in place of its field."""
+    given = {k: getattr(args, k) for k in ("tol", "max_iters", "damping")
+             if getattr(args, k) is not None}
+    return replace(default, **given)
 
 
 def _weights(args) -> WeightVector:
@@ -119,7 +116,7 @@ def cmd_convolve(args) -> int:
     if not specs:
         raise DomainError("convolve needs at least one --preset or measure file")
     measures = [_load_measure(s) for s in specs]
-    opts = _solver_opts(args) or SolveOptions(max_iters=100000)
+    opts = _solver_opts(args, HARNESS_OPTIONS)
     cfg = _config_dict(args, ["preset", "eta", "points", "window", "tol",
                               "max_iters", "damping", "density"])
     window = args.window
@@ -130,13 +127,8 @@ def cmd_convolve(args) -> int:
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")
     if args.density:
-        def g_eval(zs):
-            _, _, G, res, _, conv = solve_grid(measures, zs, opts)
-            if not np.all(conv):
-                raise IterationError("solver failure during inversion",
-                                     residual=float(np.max(res)))
-            return G
-        dist = recover(g_eval, -window, window, points=args.points, eta=args.eta)
+        dist = recover(lambda zs: g_free_grid(measures, zs, opts),
+                       -window, window, points=args.points, eta=args.eta)
         buf.write(f"# eta={dist.eta!r} tail_mass={dist.tail_mass!r}\n")
         w.writerow(["x", "density", "cdf"])
         for x, d, c in zip(dist.grid, dist.density, dist.cdf):
@@ -144,10 +136,7 @@ def cmd_convolve(args) -> int:
     else:
         xs = np.linspace(-window, window, args.points)
         zs = xs + 1j
-        _, _, G, res, _, conv = solve_grid(measures, zs, opts)
-        if not np.all(conv):
-            raise IterationError("solver failure on the sampling line",
-                                 residual=float(np.max(res)))
+        G = g_free_grid(measures, zs, opts)
         w.writerow(["re_z", "im_z", "re_g", "im_g"])
         for z, g in zip(zs, G):
             w.writerow([_FMT % z.real, _FMT % z.imag, _FMT % g.real, _FMT % g.imag])
@@ -199,7 +188,7 @@ def cmd_rates(args) -> int:
     report = rate_experiment(mu, ns, weight_mode=args.weights, metrics=metrics,
                              reps=args.reps, seed=args.seed, eps=args.eps,
                              eta=args.eta, points=args.points,
-                             opts=_solver_opts(args))
+                             opts=_solver_opts(args, HARNESS_OPTIONS))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     for name, (slope, r2) in sorted(report.slopes.items()):
@@ -216,7 +205,7 @@ def cmd_support(args) -> int:
                               "eta", "points"])
     rep = support_experiment(mu, theta, density_threshold=args.threshold,
                              eta=args.eta, points=args.points,
-                             opts=_solver_opts(args))
+                             opts=_solver_opts(args, SUPPORT_OPTIONS))
     payload = {
         "n": rep.n, "L": rep.L, "m3": rep.m3, "r_theta": rep.r_theta,
         "sum_theta4": rep.sum_theta4, "sum_theta3": rep.sum_theta3,
@@ -241,8 +230,8 @@ def cmd_residuals(args) -> int:
     re = np.linspace(-args.re_max, args.re_max, side)
     im = np.linspace(args.im_min, args.im_max, side)
     zs = (re[None, :] + 1j * im[:, None]).ravel()
-    opts = _solver_opts(args) or SolveOptions(max_iters=100000)
-    terms = functional_residuals(mu, theta, zs, opts=opts)
+    terms = functional_residuals(mu, theta, zs,
+                                 opts=_solver_opts(args, HARNESS_OPTIONS))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")

@@ -123,18 +123,6 @@ def k_transform_series(mu: Measure, z, order: int = DEFAULT_ORDER) -> complex:
     return acc
 
 
-def k_series_tail_bound(mu: Measure, z, order: int) -> float:
-    """Tail of the truncated K series bounded via Kargin's cumulant bound."""
-    L = mu.support_radius
-    if L == 0.0:
-        return 0.0
-    x = 4.0 * L * abs(z)
-    if x >= 1.0:
-        return math.inf
-    # sum_{m > N} (2L/(m-1)) (4L)^{m-1} |z|^{m-1} <= (2L/N) x^N / (1-x)
-    return (2.0 * L / order) * x**order / (1.0 - x)
-
-
 def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     """Truncated series of sum_i K_{D_{theta_i} mu}(z) - (n-1)/z.
 

@@ -23,8 +23,16 @@ from .errors import BranchCutError, DomainError
 from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         delta_eps, delta_tilde, kolmogorov, levy, recover)
 from .measures import Measure
-from .sphere import WeightVector, sample, vector_stats
-from .subordination import DEFAULT_OPTIONS, SolveOptions, solve, solve_grid
+from .sphere import WeightVector, as_weights, sample, vector_stats
+from .subordination import (DEFAULT_OPTIONS, SolveOptions, _raise_unconverged,
+                            g_free_grid, solve_grid, weighted_sum_g,
+                            weighted_summands)
+
+# Harness defaults.  Near support edges at Im z = eta the contraction is
+# slow, so the iteration cap is raised over the library default; support
+# runs also loosen the tolerance (see support_experiment).
+HARNESS_OPTIONS = SolveOptions(max_iters=100000)
+SUPPORT_OPTIONS = SolveOptions(tol=1e-7, max_iters=300000)
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +151,17 @@ def _window_radius(mu: Measure, theta: np.ndarray) -> float:
 
 def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
                          points: int = DEFAULT_POINTS,
-                         opts: SolveOptions | None = None,
+                         opts: SolveOptions = HARNESS_OPTIONS,
                          window: float | None = None):
-    """Recover the eta-smoothed law of sum_i theta_i X_i plus solver stats.
-
-    The default iteration cap is raised over the library default since the
-    contraction is slow near support edges at Im z = eta.
-    """
-    if opts is None:
-        opts = SolveOptions(max_iters=100000)
-    th = np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                    dtype=float)
-    measures = [mu.scale(float(t)) for t in th]
+    """Recover the eta-smoothed law of sum_i theta_i X_i plus solver stats."""
+    th = as_weights(theta)
+    measures = weighted_summands(mu, th)
     R = _window_radius(mu, th) if window is None else float(window)
     stats = {"max_iterations": 0}
 
     def g_eval(zs):
         _, _, G, res, iters, conv = solve_grid(measures, zs, opts)
-        if not np.all(conv):
-            from .errors import IterationError
-            bad = int(np.argmax(~conv))
-            raise IterationError(
-                f"solve failed at z={zs[bad]}", residual=float(res[bad]))
+        _raise_unconverged(zs, res, iters, conv)
         stats["max_iterations"] = max(stats["max_iterations"], int(np.max(iters)))
         return G
 
@@ -183,18 +180,15 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                     metrics=("delta", "levy", "delta_eps"), reps: int = 1,
                     seed: int = 0, eps: float = 0.5, eta: float = DEFAULT_ETA,
                     points: int = DEFAULT_POINTS,
-                    opts: SolveOptions | None = None,
+                    opts: SolveOptions = HARNESS_OPTIONS,
                     tilde_a: float = 0.05, tilde_eps: float = 0.2,
                     tilde_u_points: int = 101) -> RateReport:
     """Distances from the weighted free sum to the semicircle law per n.
 
     Both CDFs are smoothed at the same eta (the biases largely cancel);
     delta_err carries the eta + grid error estimate used to weight the
-    slope fit.  The default iteration cap is raised over the library
-    default: near support edges at Im z = eta the contraction is slow.
+    slope fit.
     """
-    if opts is None:
-        opts = SolveOptions(max_iters=100000)
     ns = list(n_schedule)
     if any(b <= a for a, b in zip(ns, ns[1:])) or any(n < 2 for n in ns):
         raise DomainError("n_schedule must be increasing with every n >= 2")
@@ -213,10 +207,9 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
             de = delta_eps(dist, ref, eps) if "delta_eps" in metrics else math.nan
             dt = math.nan
             if "delta_tilde" in metrics:
-                measures = [mu.scale(float(t)) for t in theta.theta]
-                g_a = lambda z: complex(solve(measures, z, opts).G)
                 g_b = lambda z: complex(cauchy(Measure.semicircle(1.0), z))
-                dt = delta_tilde(g_a, g_b, tilde_a, tilde_eps,
+                dt = delta_tilde(lambda z: weighted_sum_g(mu, theta, z, opts),
+                                 g_b, tilde_a, tilde_eps,
                                  u_points=tilde_u_points)
             rows.append(RateRow(n=n, rep=rep, seed=seed, weight_mode=weight_mode,
                                 delta=d, delta_err=err, delta_eps=de,
@@ -256,15 +249,13 @@ def rate_report_csv(report: RateReport) -> str:
 
 def nonid_experiment(measures, eta: float = DEFAULT_ETA,
                      points: int = DEFAULT_POINTS,
-                     opts: SolveOptions | None = None) -> dict:
+                     opts: SolveOptions = HARNESS_OPTIONS) -> dict:
     """Normalized free sum of non-identically distributed bounded measures.
 
     Normalizes by 1/B_n with B_n = sqrt(sum of variances), convolves, and
     reports the Kolmogorov distance to the semicircle law along with the
     Lyapunov-type ratio L_n = sum T_i^3 / B_n^3 (T_i = support radius).
     """
-    if opts is None:
-        opts = SolveOptions(max_iters=100000)
     measures = list(measures)
     for m in measures:
         if m.var <= 0.0:
@@ -275,16 +266,8 @@ def nonid_experiment(measures, eta: float = DEFAULT_ETA,
     ln = sum(m.support_radius**3 for m in measures) / bn**3
     scaled = [m.scale(1.0 / bn) for m in measures]
     R = min(sum(m.support_radius for m in scaled), 3.5) + 1.0
-
-    def g_eval(zs):
-        _, _, G, res, iters, conv = solve_grid(scaled, zs, opts)
-        if not np.all(conv):
-            from .errors import IterationError
-            raise IterationError("solver failure in nonid_experiment",
-                                 residual=float(np.max(res)))
-        return G
-
-    dist = recover(g_eval, -R, R, points=points, eta=eta)
+    dist = recover(lambda zs: g_free_grid(scaled, zs, opts), -R, R,
+                   points=points, eta=eta)
     ref = _semicircle_smoothed(dist)
     d = kolmogorov(dist, ref)
     return {"count": len(measures), "B_n": bn, "L_n": ln,
@@ -316,8 +299,7 @@ class SupportReport:
 
 def superconvergence_radius(mu: Measure, theta) -> float:
     """r_theta = 384 L^4 sum theta_i^4 + 3 |m_3 sum theta_i^3|."""
-    th = np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                    dtype=float)
+    th = as_weights(theta)
     L = mu.support_radius
     return (384.0 * L**4 * float(np.sum(th**4))
             + 3.0 * abs(mu.moment(3) * float(np.sum(th**3))))
@@ -350,23 +332,20 @@ def detect_support(dist: GriddedDistribution, threshold: float,
 
 def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
                        eta: float = 1e-4, points: int = DEFAULT_POINTS,
-                       opts: SolveOptions | None = None) -> SupportReport:
+                       opts: SolveOptions = SUPPORT_OPTIONS) -> SupportReport:
     """Verify the superconvergence support enclosures for a weighted sum.
 
-    The default solver options are looser than the library default: at
-    Im z = eta = 1e-4 the contraction is weak near the support edges
-    (tens of thousands of sweeps), and for large n the residual's sum
-    identity carries a floating-point floor of order n*eps, so a 1e-12
-    absolute tolerance is unattainable.  A 1e-7 tolerance keeps the G
-    error orders of magnitude below any sensible density threshold.
+    The default solver options (SUPPORT_OPTIONS) are looser than the
+    library default: at Im z = eta = 1e-4 the contraction is weak near the
+    support edges (tens of thousands of sweeps), and for large n the
+    residual's sum identity carries a floating-point floor of order n*eps,
+    so a 1e-12 absolute tolerance is unattainable.  A 1e-7 tolerance keeps
+    the G error orders of magnitude below any sensible density threshold.
     """
-    if opts is None:
-        opts = SolveOptions(tol=1e-7, max_iters=300000)
     if density_threshold <= 0.0:
         raise DomainError("density_threshold must be positive")
     mu = mu.standardize()
-    th = np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                    dtype=float)
+    th = as_weights(theta)
     L = mu.support_radius
     m3 = mu.moment(3)
     st = vector_stats(th)
@@ -434,22 +413,19 @@ def functional_residuals(mu: Measure, theta, z_grid,
     carries the minimal squared weight, matching the term definitions.
     """
     mu = mu.standardize()
-    th = np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                    dtype=float)
-    order = np.argsort(np.abs(th), kind="stable")
-    th = th[order]
-    measures = [mu.scale(float(t)) for t in th]
+    th = as_weights(theta)
+    th = th[np.argsort(np.abs(th), kind="stable")]
+    measures = weighted_summands(mu, th)
+    zs = np.atleast_1d(np.asarray(z_grid, dtype=complex))
+    Zs, _, _, res, iters, conv = solve_grid(measures, zs, opts)
+    _raise_unconverged(zs, res, iters, conv)
+    Fs = np.stack([1.0 / cauchy(m, Zs[i]) for i, m in enumerate(measures)])
     m3 = mu.moment(3)
-    n = th.size
+    t2 = th**2
+    t3 = th**3
     out = []
-    for z in np.asarray(z_grid, dtype=complex):
-        sol = solve(measures, complex(z), opts)
-        Z = np.array(sol.Z)
-        F = np.array([1.0 / complex(cauchy(measures[i], Z[i])) for i in range(n)])
+    for z, Z, F in zip(zs, Zs.T, Fs.T):
         z1 = Z[0]
-        t2 = th**2
-        t3 = th**3
-
         j1 = np.sum(F[1:] - Z[1:] + t2[1:] / Z[1:] + t3[1:] * m3 / Z[1:] ** 2)
         j2 = np.sum(t2[1:] / z1 - t2[1:] / Z[1:])
         j4 = m3 * np.sum(t3[1:] / z1**2 - t3[1:] / Z[1:] ** 2)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .errors import DegenerateMeasureError, DomainError
 
 _WEIGHT_SUM_TOL = 1e-12
-_MERGE_TOL = 0.0  # positions must match exactly to be merged
 
 
 def _catalan(k: int) -> int:

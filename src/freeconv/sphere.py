@@ -38,6 +38,12 @@ class WeightVector:
         return WeightVector(np.full(n, 1.0 / math.sqrt(n)))
 
 
+def as_weights(theta) -> np.ndarray:
+    """The weights of a WeightVector or of any sequence, as a float array."""
+    return np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
+                      dtype=float)
+
+
 def _polar_gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     """Marsaglia polar method; rejection keeps the stream layout explicit."""
     out = np.empty(0)
@@ -74,8 +80,7 @@ def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
 
 def vector_stats(theta) -> dict:
     """max|theta_i|, sum_i |theta_i|^k for k in 3..9, and sum of cubes."""
-    t = np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                   dtype=float)
+    t = as_weights(theta)
     a = np.abs(t)
     return {
         "max_abs": float(np.max(a)),

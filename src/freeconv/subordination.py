@@ -16,13 +16,14 @@ residual, not on the step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .complexfn import cauchy
 from .errors import DomainError, IterationError
 from .measures import Measure
+from .sphere import as_weights
 
 _ALPHA_FLOOR = 1.0 / 16.0
 _RESET_AFTER = 50
@@ -82,13 +83,6 @@ def _make_f_eval(measures):
         return 1.0 / G
 
     return f_eval
-
-
-def _residual(F, Z, z):
-    """max of pairwise F mismatch and the sum identity, per grid point."""
-    spread = np.max(np.abs(F - F[0]), axis=0)
-    identity = np.abs(np.sum(Z, axis=0) - z - (F.shape[0] - 1) * F[0])
-    return np.maximum(spread, identity)
 
 
 def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
@@ -220,6 +214,18 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
     return _iterate(measures, [1] * n, n, zs, opts, Z0)
 
 
+def _raise_unconverged(zs, res, iters, conv) -> None:
+    """Raise IterationError naming the first point of a solve_grid result
+    that did not converge; return if every point did."""
+    if np.all(conv):
+        return
+    bad = int(np.argmax(~conv))
+    raise IterationError(
+        f"subordination failed to converge at z={complex(zs[bad])} (index {bad}): "
+        f"residual {res[bad]:.3e} after {int(iters[bad])} iterations",
+        residual=float(res[bad]), iterations=int(iters[bad]))
+
+
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
           init=None) -> SubordinationSolution:
     """Solve the subordination system at a single point z in C+.
@@ -233,10 +239,7 @@ def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
     if init is not None:
         init_arr = np.asarray(init, dtype=complex).reshape(len(list(measures)), 1)
     Z, F0, G, res, iters, conv = solve_grid(measures, [z], opts, init=init_arr)
-    if not conv[0]:
-        raise IterationError(
-            f"subordination iteration failed to converge at z={z}: residual {res[0]:.3e}",
-            residual=float(res[0]), iterations=int(iters[0]))
+    _raise_unconverged([z], res, iters, conv)
     return SubordinationSolution(
         z=z,
         Z=tuple(complex(v) for v in Z[:, 0]),
@@ -256,16 +259,16 @@ def g_free(measures, z, opts: SolveOptions = DEFAULT_OPTIONS) -> complex:
 def g_free_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS):
     """Vectorized g_free over an array of points; raises if any point fails."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    _, _, G, res, _, conv = solve_grid(measures, zs, opts)
-    if not np.all(conv):
-        bad = int(np.argmax(~conv))
-        raise IterationError(
-            f"subordination failed at z={zs[bad]}: residual {res[bad]:.3e}",
-            residual=float(res[bad]))
+    _, _, G, res, iters, conv = solve_grid(measures, zs, opts)
+    _raise_unconverged(zs, res, iters, conv)
     return G
+
+
+def weighted_summands(mu: Measure, theta) -> list[Measure]:
+    """The summands D_{theta_i} mu of the weighted free sum sum_i theta_i X_i."""
+    return [mu.scale(float(t)) for t in as_weights(theta)]
 
 
 def weighted_sum_g(mu: Measure, theta, z, opts: SolveOptions = DEFAULT_OPTIONS) -> complex:
     """Cauchy transform of the weighted free sum sum_i theta_i X_i at z."""
-    measures = [mu.scale(float(t)) for t in np.asarray(theta, dtype=float)]
-    return g_free(measures, z, opts)
+    return g_free(weighted_summands(mu, theta), z, opts)

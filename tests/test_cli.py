@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from freeconv import cli
 from freeconv.cli import main
+from freeconv.errors import DomainError
 from freeconv.measures import Measure
 
 
@@ -132,7 +135,7 @@ def test_output_to_unwritable_path_is_io_error(tmp_path):
     assert code == 3
 
 
-def test_no_partial_output_on_failure(tmp_path):
+def test_no_partial_output_on_failure(tmp_path, capsys):
     out = tmp_path / "never.csv"
     # z too close to an atom with an impossible tolerance forces exit 2
     code = run(["convolve", "--preset", "bernoulli", "--preset", "bernoulli",
@@ -141,6 +144,30 @@ def test_no_partial_output_on_failure(tmp_path):
     assert code == 2
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+    err = capsys.readouterr().err
+    assert "z=" in err
+    assert re.search(r"residual \d\.\d+e[+-]\d+", err)
+
+
+@pytest.mark.parametrize("flag, value, field, default", [
+    ("--tol", "1e-6", "max_iters", 300000),
+    ("--max-iters", "400000", "tol", 1e-7),
+])
+def test_solver_flag_keeps_other_support_defaults(monkeypatch, flag, value,
+                                                  field, default):
+    seen = {}
+
+    def fake_support(mu, theta, **kwargs):
+        seen.update(kwargs)
+        raise DomainError("stop after recording the options")
+
+    monkeypatch.setattr(cli, "support_experiment", fake_support)
+    code = run(["support", "--preset", "bernoulli", "--n", "16",
+                flag, value, "--output", "-"])
+    assert code == 1
+    opts = seen["opts"]
+    assert getattr(opts, field) == default
+    assert getattr(opts, flag[2:].replace("-", "_")) == float(value)
 
 
 def test_timestamp_present_unless_suppressed(tmp_path):

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError
 from freeconv.experiments import (cubic_roots, detect_support,
                                   fit_loglog_slope, functional_residuals,
                                   nonid_experiment, rate_experiment,
                                   rate_report_csv, recover_weighted_sum,
                                   superconvergence_radius, support_experiment)
+from freeconv.inversion import delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
+from freeconv.subordination import weighted_sum_g
 
 
 def test_cubic_roots_reconstruct_polynomial():
@@ -120,6 +123,10 @@ def test_functional_residuals_root_matching():
     assert all(t.matched_root_p == "omega3" for t in terms)
     assert all(t.matched_root_q == "omega_tilde2" for t in terms)
     assert max(t.match_dist_p for t in terms) < 1e-6
+    # one batched solve over the grid agrees with solving each point alone
+    for t in terms:
+        (alone,) = functional_residuals(Measure.bernoulli(), th, [t.z])
+        assert np.max(np.abs(np.subtract(alone.Z, t.Z))) < 1e-12
 
 
 def test_rate_experiment_small_schedule():
@@ -132,6 +139,20 @@ def test_rate_experiment_small_schedule():
     csv_text = rate_report_csv(rep)
     assert csv_text.startswith("n,rep,seed,weight_mode,delta")
     assert len(csv_text.strip().splitlines()) == 4
+
+
+def test_rate_experiment_delta_tilde():
+    mu = Measure.bernoulli()
+    rep = rate_experiment(mu, [4, 8, 16], weight_mode="uniform",
+                          metrics=("delta_tilde",), points=1001,
+                          tilde_u_points=5)
+    sc = Measure.semicircle(1.0)
+    for r in rep.rows:
+        ref = delta_tilde(
+            lambda z: weighted_sum_g(mu, WeightVector.uniform(r.n), z),
+            lambda z: complex(cauchy(sc, z)), 0.05, 0.2, u_points=5)
+        assert math.isfinite(r.delta_tilde)
+        assert r.delta_tilde == ref
 
 
 def test_rate_experiment_validates_schedule():

@@ -4,6 +4,7 @@ import pytest
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
+from freeconv.sphere import WeightVector
 from freeconv.subordination import (SolveOptions, g_free, g_free_grid, solve,
                                     solve_grid, weighted_sum_g)
 
@@ -124,13 +125,15 @@ def test_iteration_failure_carries_residual():
 
 def test_weighted_sum_g_uses_signed_weights():
     """Negative weights reflect the law; for an asymmetric base measure the
-    result differs from using |theta|."""
+    result differs from using |theta|.  A WeightVector gives the same G as
+    its array."""
     mu = Measure.binomial(0.2)
     th = np.array([0.8, -0.6])
     z = 0.5 + 1.0j
     g_signed = weighted_sum_g(mu, th, z)
     g_abs = weighted_sum_g(mu, np.abs(th), z)
     assert abs(g_signed - g_abs) > 1e-4
+    assert weighted_sum_g(mu, WeightVector(th), z) == g_signed
 
 
 def test_solve_options_validation():
