@@ -31,13 +31,12 @@ import numpy as np
 from .complexfn import cauchy
 from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
-from .experiments import (HARNESS_OPTIONS, SUPPORT_OPTIONS,
-                          functional_residuals, rate_experiment,
-                          rate_report_csv, support_experiment)
+from .experiments import (SUPPORT_OPTIONS, functional_residuals,
+                          rate_experiment, rate_report_csv, support_experiment)
 from .inversion import (delta_eps, kolmogorov, levy, recover)
 from .measures import Measure, arcsine_cdf, semicircle_cdf
 from .sphere import WeightVector, concentration_report, sample, vector_stats
-from .subordination import SolveOptions, g_free_grid
+from .subordination import DEFAULT_OPTIONS, SolveOptions, g_free_grid
 
 _FMT = "%.17g"
 
@@ -97,7 +96,7 @@ def _json_report(args, cfg: dict, payload: dict) -> str:
 def _solver_opts(args, default: SolveOptions) -> SolveOptions:
     """The subcommand's default options with each solver flag given on the
     command line in place of its field."""
-    given = {k: getattr(args, k) for k in ("tol", "max_iters", "damping")
+    given = {k: getattr(args, k) for k in ("tol", "max_iters")
              if getattr(args, k) is not None}
     return replace(default, **given)
 
@@ -116,9 +115,9 @@ def cmd_convolve(args) -> int:
     if not specs:
         raise DomainError("convolve needs at least one --preset or measure file")
     measures = [_load_measure(s) for s in specs]
-    opts = _solver_opts(args, HARNESS_OPTIONS)
+    opts = _solver_opts(args, DEFAULT_OPTIONS)
     cfg = _config_dict(args, ["preset", "eta", "points", "window", "tol",
-                              "max_iters", "damping", "density"])
+                              "max_iters", "density"])
     window = args.window
     if window is None:
         window = sum(m.support_radius for m in measures) + 1.0
@@ -188,7 +187,7 @@ def cmd_rates(args) -> int:
     report = rate_experiment(mu, ns, weight_mode=args.weights, metrics=metrics,
                              reps=args.reps, seed=args.seed, eps=args.eps,
                              eta=args.eta, points=args.points,
-                             opts=_solver_opts(args, HARNESS_OPTIONS))
+                             opts=_solver_opts(args, DEFAULT_OPTIONS))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     for name, (slope, r2) in sorted(report.slopes.items()):
@@ -231,7 +230,7 @@ def cmd_residuals(args) -> int:
     im = np.linspace(args.im_min, args.im_max, side)
     zs = (re[None, :] + 1j * im[:, None]).ravel()
     terms = functional_residuals(mu, theta, zs,
-                                 opts=_solver_opts(args, HARNESS_OPTIONS))
+                                 opts=_solver_opts(args, DEFAULT_OPTIONS))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")
@@ -278,7 +277,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="omit the timestamp field for reproducible bytes")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

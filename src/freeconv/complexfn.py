@@ -37,9 +37,12 @@ def sqrt_cut(z):
         raise BranchCutError("sqrt_cut evaluated on the [0, inf) branch cut")
     r = np.hypot(u, v)
     sgn = np.where(v >= 0.0, 1.0, -1.0)  # sgn(0) = +1
-    re = sgn * np.sqrt(0.5 * (r + u))
-    im = np.sqrt(np.maximum(0.5 * (r - u), 0.0))
-    out = re + 1j * im
+    # the larger component from the formula above, the other from
+    # re * im = v / 2, so that r + u (or r - u) never cancels
+    big = np.sqrt(0.5 * (r + np.abs(u)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = 0.5 * v / big
+    out = np.where(u >= 0.0, sgn * big + 1j * np.abs(small), small + 1j * big)
     return out if out.ndim else complex(out)
 
 
@@ -54,7 +57,9 @@ def cauchy(mu: Measure, z):
     """Cauchy transform G_mu(z) = int 1/(z-t) dmu(t) for Im z > 0.
 
     Atomic measures are summed exactly; Semicircle(c) uses the closed form
-    G(z) = G_w(z/sqrt(c))/sqrt(c) with G_w(z) = (z - sqrt_cut(z^2-4))/2.
+    G(z) = G_w(z/sqrt(c))/sqrt(c) with G_w(z) = (z - sqrt_cut(z^2-4))/2,
+    evaluated as 2/(z + sqrt_cut(z^2-4)) (the same root: the product of the
+    two denominators is 4) so that large |z| does not cancel.
     """
     z = _check_upper(z)
     scalar = z.ndim == 0
@@ -66,7 +71,7 @@ def cauchy(mu: Measure, z):
     else:
         s = np.sqrt(mu.variance_param)
         w = z / s
-        out = 0.5 * (w - sqrt_cut(w * w - 4.0)) / s
+        out = 2.0 / (s * (w + sqrt_cut(w * w - 4.0)))
     return complex(out[0]) if scalar else out
 
 

@@ -28,11 +28,9 @@ from .subordination import (DEFAULT_OPTIONS, SolveOptions, _raise_unconverged,
                             g_free_grid, solve_grid, weighted_sum_g,
                             weighted_summands)
 
-# Harness defaults.  Near support edges at Im z = eta the contraction is
-# slow, so the iteration cap is raised over the library default; support
-# runs also loosen the tolerance (see support_experiment).
-HARNESS_OPTIONS = SolveOptions(max_iters=100000)
-SUPPORT_OPTIONS = SolveOptions(tol=1e-7, max_iters=300000)
+# Support runs loosen the tolerance (see support_experiment); every other
+# harness uses the library default.
+SUPPORT_OPTIONS = SolveOptions(tol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +149,7 @@ def _window_radius(mu: Measure, theta: np.ndarray) -> float:
 
 def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
                          points: int = DEFAULT_POINTS,
-                         opts: SolveOptions = HARNESS_OPTIONS,
+                         opts: SolveOptions = DEFAULT_OPTIONS,
                          window: float | None = None):
     """Recover the eta-smoothed law of sum_i theta_i X_i plus solver stats."""
     th = as_weights(theta)
@@ -180,7 +178,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                     metrics=("delta", "levy", "delta_eps"), reps: int = 1,
                     seed: int = 0, eps: float = 0.5, eta: float = DEFAULT_ETA,
                     points: int = DEFAULT_POINTS,
-                    opts: SolveOptions = HARNESS_OPTIONS,
+                    opts: SolveOptions = DEFAULT_OPTIONS,
                     tilde_a: float = 0.05, tilde_eps: float = 0.2,
                     tilde_u_points: int = 101) -> RateReport:
     """Distances from the weighted free sum to the semicircle law per n.
@@ -249,7 +247,7 @@ def rate_report_csv(report: RateReport) -> str:
 
 def nonid_experiment(measures, eta: float = DEFAULT_ETA,
                      points: int = DEFAULT_POINTS,
-                     opts: SolveOptions = HARNESS_OPTIONS) -> dict:
+                     opts: SolveOptions = DEFAULT_OPTIONS) -> dict:
     """Normalized free sum of non-identically distributed bounded measures.
 
     Normalizes by 1/B_n with B_n = sqrt(sum of variances), convolves, and
@@ -335,12 +333,12 @@ def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
                        opts: SolveOptions = SUPPORT_OPTIONS) -> SupportReport:
     """Verify the superconvergence support enclosures for a weighted sum.
 
-    The default solver options (SUPPORT_OPTIONS) are looser than the
-    library default: at Im z = eta = 1e-4 the contraction is weak near the
-    support edges (tens of thousands of sweeps), and for large n the
-    residual's sum identity carries a floating-point floor of order n*eps,
-    so a 1e-12 absolute tolerance is unattainable.  A 1e-7 tolerance keeps
-    the G error orders of magnitude below any sensible density threshold.
+    The default solver options (SUPPORT_OPTIONS) have a looser tolerance
+    than the library default: for large n the residual's sum identity
+    carries a floating-point floor of order n*eps (about 1.4e-12 at
+    n = 1024), so a 1e-12 absolute tolerance is unattainable.  A 1e-7
+    tolerance keeps the G error orders of magnitude below any sensible
+    density threshold.
     """
     if density_threshold <= 0.0:
         raise DomainError("density_threshold must be positive")

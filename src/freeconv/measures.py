@@ -40,8 +40,10 @@ class Measure:
         pairs = sorted(zip(map(float, positions), map(float, weights)))
         merged: list[list[float]] = []
         for x, w in pairs:
-            if w <= 0.0:
-                raise DomainError(f"atom weight must be positive, got {w}")
+            if not 0.0 < w < math.inf:
+                raise DomainError(f"atom weight must be positive and finite, got {w}")
+            if not math.isfinite(x):
+                raise DomainError(f"atom position must be finite, got {x}")
             if merged and x == merged[-1][0]:
                 merged[-1][1] += w
             else:
@@ -53,8 +55,9 @@ class Measure:
 
     @staticmethod
     def semicircle(variance: float) -> "Measure":
-        if variance <= 0.0:
-            raise DomainError(f"semicircle variance must be positive, got {variance}")
+        if not 0.0 < variance < math.inf:
+            raise DomainError(f"semicircle variance must be positive and finite, "
+                              f"got {variance}")
         return Measure(kind="semicircle", variance_param=float(variance))
 
     @staticmethod

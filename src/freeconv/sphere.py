@@ -26,7 +26,7 @@ class WeightVector:
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", t)
-        if abs(float(np.sum(t * t)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(t * t)) - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError("weight vector must lie on the unit sphere")
 
     @property
@@ -35,6 +35,8 @@ class WeightVector:
 
     @staticmethod
     def uniform(n: int) -> "WeightVector":
+        if n < 1:
+            raise DomainError("n must be >= 1")
         return WeightVector(np.full(n, 1.0 / math.sqrt(n)))
 
 

@@ -3,15 +3,16 @@ half-plane.
 
 For measures nu_1..nu_n and z with Im z > 0, the system is
 
-    Z_1 + ... + Z_n - z = (n-1) F_1(Z_1),   F_1(Z_1) = ... = F_n(Z_n),
+    F_i(Z_i) = w  (i = 1..n),   Z_1 + ... + Z_n - z = (n-1) w,
 
-where F_i is the reciprocal Cauchy transform of nu_i.  Rearranged per
-coordinate, Z_i = z + sum_{j != i} (F_j(Z_j) - Z_j), which drives a damped
-simultaneous fixed-point iteration: since Im(F_j(w) - w) >= 0, iterates stay
-in the upper half-plane with Im Z_i >= Im z.  Damping is halved whenever the
-system residual increases between sweeps (floor 1/16) and reset to 1 after
-50 consecutive shrinking sweeps.  Convergence is declared on the system
-residual, not on the step size.
+where F_i is the reciprocal Cauchy transform of nu_i.  Its Jacobian in
+(Z_1..Z_n, w) is diagonal plus rank one, so eliminating dZ_i leaves a
+scalar Schur complement and one Newton step costs one pass over the atoms,
+like one fixed-point sweep.  A point whose Newton iterate is not finite or
+leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
+(F_j(Z_j) - Z_j) instead, which stays there because Im(F_j(v) - v) >= 0
+(Belinschi-Mai-Speicher).  Convergence is declared on the system residual,
+not on the step size.
 """
 
 from __future__ import annotations
@@ -25,19 +26,14 @@ from .errors import DomainError, IterationError
 from .measures import Measure
 from .sphere import as_weights
 
-_ALPHA_FLOOR = 1.0 / 16.0
-_RESET_AFTER = 50
-_SNAP = 25
-
 
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-12
     max_iters: int = 10000
-    damping: float = 1.0
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.max_iters > 0 and 0 < self.damping <= 1):
+        if not (self.tol > 0 and self.max_iters > 0):
             raise DomainError("invalid solver options")
 
 
@@ -55,132 +51,112 @@ class SubordinationSolution:
     converged: bool
 
 
-def _f_values(measures, Z):
-    """F_i(Z_i) for each measure; Z has shape (n,) or (n, m)."""
-    return np.stack([1.0 / cauchy(mu, np.atleast_1d(Z[i]))
-                     for i, mu in enumerate(measures)])
+def _make_evaluator(measures):
+    """(F_i(Z_i), F_i'(Z_i)) on a (k, m) block of points in C+.
 
-
-def _make_f_eval(measures):
-    """Per-sweep F evaluator; purely atomic lists get a stacked fast path.
-
-    Iterates stay in the upper half-plane (each update is a convex mix of
-    points with Im >= Im z), so the fast path skips domain checks.
+    Atomic coordinates are summed over stacked atom arrays, one atom at a
+    time (F' = F^2 sum_j w_j/(Z - x_j)^2); semicircle coordinates go
+    through cauchy (F' = F/(2F - Z), from F^2 - Z F + variance = 0).
     """
-    if not all(mu.kind == "atomic" for mu in measures):
-        return lambda Z: _f_values(measures, Z)
-    na = max(len(mu.atoms) for mu in measures)
-    k = len(measures)
-    X = np.zeros((k, na, 1))
-    W = np.zeros((k, na, 1))
-    for i, mu in enumerate(measures):
-        for j, (x, w) in enumerate(mu.atoms):
-            X[i, j, 0] = x
-            W[i, j, 0] = w
+    atomic = [i for i, mu in enumerate(measures) if mu.kind == "atomic"]
+    semi = [i for i, mu in enumerate(measures) if mu.kind != "atomic"]
+    na = max((len(measures[i].atoms) for i in atomic), default=0)
+    X = np.zeros((na, len(atomic), 1))
+    W = np.zeros((na, len(atomic), 1))  # zero weight pads shorter lists
+    for a, i in enumerate(atomic):
+        for j, (x, w) in enumerate(measures[i].atoms):
+            X[j, a, 0], W[j, a, 0] = x, w
 
-    def f_eval(Z):
-        G = np.sum(W / (Z[:, None, :] - X), axis=1)
-        return 1.0 / G
+    def atomic_part(Za):
+        F = np.zeros_like(Za)
+        dF = np.zeros_like(Za)
+        for x, w in zip(X, W):
+            q = np.reciprocal(Za - x)
+            F += w * q
+            q *= q
+            dF += w * q
+        np.reciprocal(F, out=F)
+        dF *= F
+        dF *= F
+        return F, dF
 
-    return f_eval
+    def evaluate(Z):
+        if not semi:
+            return atomic_part(Z)
+        F = np.empty_like(Z)
+        dF = np.empty_like(Z)
+        if atomic:
+            F[atomic], dF[atomic] = atomic_part(Z[atomic])
+        for i in semi:
+            Fi = 1.0 / cauchy(measures[i], Z[i])
+            F[i] = Fi
+            dF[i] = Fi / (2.0 * Fi - Z[i])
+        return F, dF
+
+    return evaluate
 
 
 def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
-    """Damped fixed-point loop over a (k, m) coordinate block.
+    """Newton on a (k, m) coordinate block, one point per column.
 
     counts[k] is the multiplicity of measures[k] among the n system
-    coordinates.  Converged grid points are moved out of the working set so
-    late sweeps only touch the stragglers.
+    coordinates.  Converged grid points leave the working set, so late
+    steps only touch the stragglers.  Block temporaries are updated in
+    place: with hundreds of coordinates each (k, m) array is tens of MiB.
     """
     m = zs.shape[0]
-    c = np.asarray(counts, dtype=float)[:, None]
-    f_eval = _make_f_eval(measures)
-
-    def residual(F, Z, zc):
-        spread = np.max(np.abs(F - F[0]), axis=0)
-        identity = np.abs(np.sum(c * Z, axis=0) - zc - (n - 1) * F[0])
-        return np.maximum(spread, identity)
-
-    F = f_eval(Z)
-    res = residual(F, Z, zs)
+    c = np.asarray(counts, dtype=float)
+    evaluate = _make_evaluator(measures)
+    F0 = np.empty(m, dtype=complex)
+    res = np.empty(m)
     iterations = np.zeros(m, dtype=int)
-    idx = np.flatnonzero(res > opts.tol)
-    Zw, Fw, rw, zw = Z[:, idx], F[:, idx], res[idx], zs[idx]
-    alpha = np.full(idx.size, opts.damping)
-    streak = np.zeros(idx.size, dtype=int)
+    idx, Zw, zw = np.arange(m), Z, zs
 
-    # geometric extrapolation state: near the real axis the contraction
-    # factor approaches 1 and plain sweeps crawl; every _SNAP sweeps the
-    # dominant error mode is estimated from two successive displacement
-    # snapshots and removed, accepted only where the residual improves
-    z_last = Zw.copy()
-    dz_prev = None
-    sweep = 0
-
-    for _ in range(opts.max_iters):
-        if idx.size == 0:
+    for step in range(opts.max_iters + 1):
+        F, dF = evaluate(Zw)
+        w = c @ F / n
+        sz = c @ Zw - zw
+        r = sz - (n - 1) * w
+        rw = np.maximum(np.max(np.abs(F - F[0]), axis=0),
+                        np.abs(sz - (n - 1) * F[0]))
+        F0[idx], res[idx] = F[0], rw
+        live = rw > opts.tol
+        if step == opts.max_iters or not np.any(live):
+            Z[:, idx] = Zw
             break
-        delta = Fw - Zw  # Im(F_j(w) - w) >= 0
-        target = zw + np.sum(c * delta, axis=0) - delta  # z + sum_{j != i}(F_j - Z_j)
-        Zw = (1.0 - alpha) * Zw + alpha * target
-        Fw = f_eval(Zw)
-        rn = residual(Fw, Zw, zw)
-
-        worse = rn > rw
-        alpha = np.where(worse, np.maximum(alpha * 0.5, _ALPHA_FLOOR), alpha)
-        streak = np.where(worse, 0, streak + 1)
-        reset = streak >= _RESET_AFTER
-        alpha = np.where(reset, opts.damping, alpha)
-        streak = np.where(reset, 0, streak)
-        rw = rn
+        if not np.all(live):
+            Z[:, idx[~live]] = Zw[:, ~live]
+            idx, zw, Zw = idx[live], zw[live], Zw[:, live]
+            F, dF, w, r = F[:, live], dF[:, live], w[live], r[live]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = np.reciprocal(dF, out=dF)  # 1/F_i'
+            e = F - w
+            e *= inv  # e_i/F_i'
+            dw = (c @ e - r) / (c @ inv - (n - 1))  # Schur complement
+            Zn = dw * inv  # Z_i + (dw - e_i)/F_i'
+            Zn -= e
+            Zn += Zw
+        bad = ~np.all(np.isfinite(Zn) & (Zn.imag >= zw.imag), axis=0)
+        if np.any(bad):
+            delta = F[:, bad] - Zw[:, bad]  # Im(F_j(v) - v) >= 0
+            sweep = zw[bad] + c @ delta - delta
+            # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
+            sweep.imag = np.maximum(sweep.imag, zw[bad].imag)
+            Zn[:, bad] = sweep
+        del F, dF, inv, e  # free the block before the next evaluation
+        Zw = Zn
         iterations[idx] += 1
-        sweep += 1
 
-        if sweep % _SNAP == 0:
-            dz = Zw - z_last
-            if dz_prev is not None:
-                num = np.sum(dz * np.conj(dz_prev), axis=0)
-                den = np.sum(np.abs(dz_prev) ** 2, axis=0)
-                q = num / np.where(den > 0, den, 1.0)
-                ok = (np.abs(q) > 0.2) & (np.abs(q) < 0.995) & (den > 0)
-                if np.any(ok):
-                    gain = np.where(ok, q / (1.0 - q), 0.0)
-                    Zt = Zw + dz * gain
-                    valid = ok & np.all(Zt.imag >= zw.imag, axis=0)
-                    if np.any(valid):
-                        Ft = f_eval(Zt)
-                        rt = residual(Ft, Zt, zw)
-                        better = valid & (rt < rw)
-                        Zw = np.where(better, Zt, Zw)
-                        Fw = np.where(better, Ft, Fw)
-                        rw = np.where(better, rt, rw)
-                dz_prev = None
-                z_last = Zw.copy()
-            else:
-                dz_prev = dz
-                z_last = Zw.copy()
-
-        done = rw <= opts.tol
-        if np.any(done):
-            hit = idx[done]
-            Z[:, hit], F[:, hit], res[hit] = Zw[:, done], Fw[:, done], rw[done]
-            keep = ~done
-            idx, zw, alpha, streak = idx[keep], zw[keep], alpha[keep], streak[keep]
-            Zw, Fw, rw = Zw[:, keep], Fw[:, keep], rw[keep]
-            z_last = z_last[:, keep]
-            if dz_prev is not None:
-                dz_prev = dz_prev[:, keep]
-
-    Z[:, idx], F[:, idx], res[idx] = Zw, Fw, rw
     converged = res <= opts.tol
-    return Z, F[0], 1.0 / F[0], res, iterations, converged
+    return Z, F0, 1.0 / F0, res, iterations, converged
 
 
 def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
     """Solve the subordination system simultaneously at every point of zs.
 
     Returns (Z, F, G, residual, iterations, converged) with Z of shape
-    (n, m); points iterate independently with per-point adaptive damping.
+    (n, m); points take Newton steps independently.  ``init`` (shape
+    (n, m), Im Z_i >= Im z) replaces the start Z_i = z.
     Duplicate measures share a coordinate internally: the fixed point is
     symmetric in identical coordinates and the symmetric init preserves
     that, so the collapsed system has the same solution.
@@ -211,6 +187,8 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
             return Zu[expand], F0, G, res, iters, conv
 
     Z0 = np.tile(zs, (n, 1)) if init is None else np.array(init, dtype=complex)
+    if not np.all(Z0.imag >= zs.imag):  # NaN fails too
+        raise DomainError("init must satisfy Im Z_i >= Im z")
     return _iterate(measures, [1] * n, n, zs, opts, Z0)
 
 

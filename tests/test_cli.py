@@ -150,7 +150,7 @@ def test_no_partial_output_on_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, field, default", [
-    ("--tol", "1e-6", "max_iters", 300000),
+    ("--tol", "1e-6", "max_iters", 10000),
     ("--max-iters", "400000", "tol", 1e-7),
 ])
 def test_solver_flag_keeps_other_support_defaults(monkeypatch, flag, value,
@@ -168,6 +168,18 @@ def test_solver_flag_keeps_other_support_defaults(monkeypatch, flag, value,
     opts = seen["opts"]
     assert getattr(opts, field) == default
     assert getattr(opts, flag[2:].replace("-", "_")) == float(value)
+
+
+def test_support_n_zero_is_config_error(capsys):
+    code = run(["support", "--preset", "bernoulli", "--n", "0",
+                "--output", "-"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_damping_flag_is_rejected():
+    assert run(["convolve", "--preset", "bernoulli", "--damping", "0.5",
+                "--output", "-"]) == 1
 
 
 def test_timestamp_present_unless_suppressed(tmp_path):

@@ -27,6 +27,15 @@ def test_sqrt_cut_negative_reals_allowed():
     assert w[0] == pytest.approx(2.0j)
 
 
+def test_sqrt_cut_accurate_near_negative_axis():
+    """Both components to full relative precision where Im z is tiny
+    against Re z < 0 (there sqrt_cut equals the principal root)."""
+    z = np.array([-9.92 + 1.9e-6j, -1.0 + 1e-12j, -1e3 + 1e-9j])
+    w, ref = sqrt_cut(z), np.sqrt(z)
+    assert np.all(np.abs(w.real - ref.real) <= 1e-15 * np.abs(ref.real))
+    assert np.all(np.abs(w.imag - ref.imag) <= 1e-15 * np.abs(ref.imag))
+
+
 def test_sqrt_cut_rejects_points_on_cut():
     with pytest.raises(BranchCutError):
         sqrt_cut(np.array([4.0 + 0.0j]))
@@ -54,11 +63,15 @@ def test_cauchy_semicircle_asymptotics():
     y = 100.0
     g = complex(cauchy(sc, np.array([1j * y]))[0])
     assert abs(g - 1.0 / (1j * y)) < 2.0 / y**3
+    for y in (1e6, 1e8):  # no cancellation between z and the root
+        g = complex(cauchy(sc, 1j * y))
+        assert abs(g * 1j * y - 1.0) < 1e-10
 
 
 def test_cauchy_maps_to_lower_half_plane():
     rng = np.random.default_rng(13)
     z = rng.normal(size=100) + 1j * np.abs(rng.normal(size=100)) + 1e-6j
+    z = np.append(z, -2e4 + 1j)  # far out, where Im G is tiny
     for mu in (Measure.semicircle(1.0), Measure.binomial(0.25)):
         assert np.all(cauchy(mu, z).imag < 0)
 

@@ -16,6 +16,17 @@ def test_atomic_weights_must_sum_to_one():
         Measure.atomic([0.0, 1.0], [0.5, 0.4])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Measure.atomic([0.0, 1.0], [math.nan, 1.0]),
+    lambda: Measure.atomic([math.inf], [1.0]),
+    lambda: Measure.semicircle(math.nan),
+    lambda: Measure.from_json('{"kind": "atomic", "atoms": [{"x": NaN, "w": 1.0}]}'),
+], ids=["nan-weight", "inf-position", "nan-variance", "json-nan-atom"])
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_atomic_merges_duplicate_positions():
     mu = Measure.atomic([1.0, 1.0, -1.0], [0.25, 0.25, 0.5])
     assert len(mu.atoms) == 2

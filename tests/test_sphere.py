@@ -41,6 +41,10 @@ def test_uniform_weight_vector():
 def test_weight_vector_validates_norm():
     with pytest.raises(DomainError):
         WeightVector(np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        WeightVector(np.array([math.nan]))
+    with pytest.raises(DomainError):
+        WeightVector.uniform(0)
 
 
 def test_vector_stats_power_sums():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
@@ -140,4 +141,68 @@ def test_solve_options_validation():
     with pytest.raises(DomainError):
         SolveOptions(tol=-1.0)
     with pytest.raises(DomainError):
-        SolveOptions(damping=1.5)
+        SolveOptions(max_iters=0)
+
+
+def test_newton_converges_at_support_edges():
+    """1024 identical summands at Im z = 1e-4: every point converges in a
+    few Newton steps and G matches the closed form."""
+    zs = np.linspace(-2.2, 2.2, 401) + 1e-4j
+    _, _, G, _, iters, conv = solve_grid([Measure.bernoulli().scale(1 / 32)] * 1024,
+                                         zs, SolveOptions(tol=1e-7))
+    assert np.all(conv)
+    assert iters.max() <= 50
+    assert np.max(np.abs(G - binomial_convolution_g(0.5, 1024, zs))) < 1e-6
+
+
+def test_mixed_list_stays_in_domain():
+    """A narrow semicircle next to atomic summands pushes its Z far out;
+    no evaluation may leave Im Z_i >= Im z."""
+    ms = [Measure.bernoulli().scale(0.5), Measure.binomial(0.2).scale(-0.7),
+          Measure.semicircle(0.06)]
+    zs = np.linspace(-3, 3, 401) + 1e-3j
+    Z, _, G, _, _, conv = solve_grid(ms, zs)
+    assert np.all(conv)
+    assert np.all(Z.imag >= zs.imag)
+    assert np.all(G.imag < 0)
+
+
+def test_init_below_im_z_rejected():
+    with pytest.raises(DomainError):
+        solve([Measure.bernoulli()] * 2, 1j, init=[0.5j, 1j])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.floats(0.05, 0.95), n=st.integers(1, 256),
+       x=st.floats(-3.0, 3.0), y=st.floats(1e-4, 2.0))
+def test_binomial_oracle_property(p, n, x, y):
+    z = complex(x, y)
+    tol = 1e-7 if n >= 64 else 1e-9
+    mu = Measure.binomial(p).scale(1.0 / np.sqrt(n))
+    _, _, G, _, iters, conv = solve_grid([mu] * n, [z], SolveOptions(tol=tol))
+    assert conv[0] and iters[0] <= 50
+    ref = complex(binomial_convolution_g(p, n, z))
+    assert abs(G[0] - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
+_summand = st.one_of(
+    st.builds(lambda p, s: Measure.binomial(p).scale(s), st.floats(0.05, 0.95),
+              st.floats(-1.0, 1.0).filter(lambda s: abs(s) > 1e-3)),
+    st.builds(Measure.semicircle, st.floats(1e-3, 1.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ms=st.lists(_summand, min_size=2, max_size=6), data=st.data(),
+       x=st.floats(-3.0, 3.0), y=st.floats(1e-3, 2.0))
+def test_mixed_list_properties(ms, data, x, y):
+    z = complex(x, y)
+    opts = SolveOptions(tol=1e-10)
+    Z, _, G, _, _, conv = solve_grid(ms, [z], opts)
+    assert conv[0]
+    assert np.all(Z[:, 0].imag >= y)
+    assert G[0].imag < 0
+    order = data.draw(st.permutations(range(len(ms))))
+    Zp, _, Gp, _, _, convp = solve_grid([ms[i] for i in order], [z], opts)
+    assert convp[0]
+    assert abs(Gp[0] - G[0]) <= 1e-6 * (1.0 + abs(G[0]))
+    assert np.all(np.abs(Zp[:, 0] - Z[list(order), 0]) <= 1e-6 * (1.0 + np.abs(Zp[:, 0])))
