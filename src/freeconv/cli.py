@@ -31,10 +31,11 @@ import numpy as np
 from .complexfn import cauchy
 from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
-from .experiments import (SUPPORT_OPTIONS, functional_residuals,
-                          rate_experiment, rate_report_csv, support_experiment)
-from .inversion import (delta_eps, kolmogorov, levy, recover)
-from .measures import Measure, arcsine_cdf, semicircle_cdf
+from .experiments import (functional_residuals, rate_experiment,
+                          rate_report_csv, support_experiment)
+from .inversion import (GriddedDistribution, delta_eps, kolmogorov, levy,
+                        recover)
+from .measures import Measure, arcsine_cdf
 from .sphere import WeightVector, concentration_report, sample, vector_stats
 from .subordination import DEFAULT_OPTIONS, SolveOptions, g_free_grid
 
@@ -50,10 +51,10 @@ def _load_measure(spec: str) -> Measure:
     return Measure.from_preset(spec)
 
 
-def _config_dict(args, keys) -> dict:
-    cfg = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-    cfg["command"] = args.command
-    return cfg
+def _config_dict(args) -> dict:
+    """Every parsed option that was given or has a default, and the command."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("output", "no_timestamp", "func") and v is not None}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -93,12 +94,12 @@ def _json_report(args, cfg: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=_default) + "\n"
 
 
-def _solver_opts(args, default: SolveOptions) -> SolveOptions:
-    """The subcommand's default options with each solver flag given on the
+def _solver_opts(args) -> SolveOptions:
+    """The library's default options with each solver flag given on the
     command line in place of its field."""
     given = {k: getattr(args, k) for k in ("tol", "max_iters")
              if getattr(args, k) is not None}
-    return replace(default, **given)
+    return replace(DEFAULT_OPTIONS, **given)
 
 
 def _weights(args) -> WeightVector:
@@ -115,27 +116,23 @@ def cmd_convolve(args) -> int:
     if not specs:
         raise DomainError("convolve needs at least one --preset or measure file")
     measures = [_load_measure(s) for s in specs]
-    opts = _solver_opts(args, DEFAULT_OPTIONS)
-    cfg = _config_dict(args, ["preset", "eta", "points", "window", "tol",
-                              "max_iters", "density"])
+    opts = _solver_opts(args)
+    cfg = _config_dict(args)
     window = args.window
     if window is None:
         window = sum(m.support_radius for m in measures) + 1.0
 
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
-    w = csv.writer(buf, lineterminator="\n")
     if args.density:
         dist = recover(lambda zs: g_free_grid(measures, zs, opts),
                        -window, window, points=args.points, eta=args.eta)
-        buf.write(f"# eta={dist.eta!r} tail_mass={dist.tail_mass!r}\n")
-        w.writerow(["x", "density", "cdf"])
-        for x, d, c in zip(dist.grid, dist.density, dist.cdf):
-            w.writerow([_FMT % x, _FMT % d, _FMT % c])
+        buf.write(dist.to_csv())
     else:
         xs = np.linspace(-window, window, args.points)
         zs = xs + 1j
         G = g_free_grid(measures, zs, opts)
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(["re_z", "im_z", "re_g", "im_g"])
         for z, g in zip(zs, G):
             w.writerow([_FMT % z.real, _FMT % z.imag, _FMT % g.real, _FMT % g.imag])
@@ -143,29 +140,20 @@ def cmd_convolve(args) -> int:
     return 0
 
 
-def _cdf_for(spec: str):
-    """CDF callable for a preset name, measure file, or density CSV."""
+def _distribution(spec: str):
+    """Distance input for 'arcsine' (its CDF), a density CSV, or a measure
+    preset or file (the measure itself, so atoms are compared exactly)."""
     if spec == "arcsine":
-        return lambda x: arcsine_cdf(np.asarray(x, dtype=float))
-    if spec == "semicircle":
-        return lambda x: semicircle_cdf(np.asarray(x, dtype=float))
+        return arcsine_cdf
     if spec.endswith(".csv"):
-        from .inversion import GriddedDistribution
         with open(spec) as fh:
             return GriddedDistribution.from_csv(fh.read())
-    mu = _load_measure(spec)
-    if mu.kind == "semicircle":
-        c = math.sqrt(mu.variance_param)
-        return lambda x: semicircle_cdf(np.asarray(x, dtype=float) / c)
-    xs = np.array([x for x, _ in mu.atoms])
-    ws = np.array([w for _, w in mu.atoms])
-    return lambda x: np.sum(ws[None, :] * (xs[None, :] <= np.atleast_1d(
-        np.asarray(x, dtype=float))[:, None]), axis=1)
+    return _load_measure(spec)
 
 
 def cmd_distance(args) -> int:
-    fa, fb = _cdf_for(args.a), _cdf_for(args.b)
-    cfg = _config_dict(args, ["a", "b", "metric", "eps"])
+    fa, fb = _distribution(args.a), _distribution(args.b)
+    cfg = _config_dict(args)
     if args.metric == "kolmogorov":
         value = kolmogorov(fa, fb)
     elif args.metric == "levy":
@@ -182,12 +170,11 @@ def cmd_rates(args) -> int:
     mu = _load_measure(args.preset)
     ns = [int(s) for s in args.n.split(",")]
     metrics = tuple(args.metric.split(","))
-    cfg = _config_dict(args, ["preset", "n", "weights", "metric", "reps",
-                              "seed", "eps", "eta", "points"])
+    cfg = _config_dict(args)
     report = rate_experiment(mu, ns, weight_mode=args.weights, metrics=metrics,
                              reps=args.reps, seed=args.seed, eps=args.eps,
                              eta=args.eta, points=args.points,
-                             opts=_solver_opts(args, DEFAULT_OPTIONS))
+                             opts=_solver_opts(args))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     for name, (slope, r2) in sorted(report.slopes.items()):
@@ -200,11 +187,10 @@ def cmd_rates(args) -> int:
 def cmd_support(args) -> int:
     mu = _load_measure(args.preset)
     theta = _weights(args)
-    cfg = _config_dict(args, ["preset", "n", "weights", "seed", "threshold",
-                              "eta", "points"])
+    cfg = _config_dict(args)
     rep = support_experiment(mu, theta, density_threshold=args.threshold,
                              eta=args.eta, points=args.points,
-                             opts=_solver_opts(args, SUPPORT_OPTIONS))
+                             opts=_solver_opts(args))
     payload = {
         "n": rep.n, "L": rep.L, "m3": rep.m3, "r_theta": rep.r_theta,
         "sum_theta4": rep.sum_theta4, "sum_theta3": rep.sum_theta3,
@@ -223,14 +209,13 @@ def cmd_support(args) -> int:
 def cmd_residuals(args) -> int:
     mu = _load_measure(args.preset)
     theta = _weights(args)
-    cfg = _config_dict(args, ["preset", "n", "weights", "seed", "re_max",
-                              "im_min", "im_max", "grid_points"])
+    cfg = _config_dict(args)
     side = max(2, int(round(math.sqrt(args.grid_points))))
     re = np.linspace(-args.re_max, args.re_max, side)
     im = np.linspace(args.im_min, args.im_max, side)
     zs = (re[None, :] + 1j * im[:, None]).ravel()
     terms = functional_residuals(mu, theta, zs,
-                                 opts=_solver_opts(args, DEFAULT_OPTIONS))
+                                 opts=_solver_opts(args))
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")
@@ -247,7 +232,7 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_sphere(args) -> int:
-    cfg = _config_dict(args, ["n", "count", "seed"])
+    cfg = _config_dict(args)
     buf = io.StringIO()
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")
@@ -261,7 +246,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_concentration(args) -> int:
-    cfg = _config_dict(args, ["n", "samples", "seed", "A"])
+    cfg = _config_dict(args)
     rep = concentration_report(args.n, args.samples, args.seed, A=args.A)
     _atomic_write(args.output, _json_report(args, cfg, rep))
     return 0
@@ -275,6 +260,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output path ('-' for stdout)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field for reproducible bytes")
+
+
+def _add_solver(p: argparse.ArgumentParser) -> None:
+    """Solver overrides, for the subcommands that solve the system."""
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
 
@@ -295,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=2001)
     p.add_argument("--window", type=float, default=None)
     _add_common(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_convolve)
 
     p = sub.add_parser("distance", help="distance between two distributions")
@@ -318,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--points", type=int, default=2001)
     _add_common(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("support", help="superconvergence support enclosure")
@@ -329,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-4)
     p.add_argument("--points", type=int, default=4001)
     _add_common(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_support)
 
     p = sub.add_parser("residuals", help="functional-equation residual grid")
@@ -341,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, default=3.0)
     p.add_argument("--grid-points", type=int, default=200)
     _add_common(p)
+    _add_solver(p)
     p.set_defaults(func=cmd_residuals)
 
     p = sub.add_parser("sphere", help="unit-sphere weight sampling stats")

@@ -5,14 +5,15 @@ The conversion uses the free moment-cumulant recursion
 
     m_n = sum_{s=1}^{n} kappa_s * sum_{i_1+...+i_s = n-s, i_j >= 0} m_{i_1}...m_{i_s}
 
-with m_0 = 1, evaluated as a dynamic program over convolution powers of the
-moment sequence.  An exponential enumeration over non-crossing partitions is
-kept as a test oracle only (see tests).
+with m_0 = 1.  The inner sum is the coefficient of t^{n-s} in M(t)^s,
+M(t) = sum_i m_i t^i; both directions grow the table of those coefficients
+one degree at a time, so each needs O(N^3) flops in N vectorized steps.  An
+exponential enumeration over non-crossing partitions is kept as a test
+oracle only (see tests).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,26 @@ from .measures import Measure
 DEFAULT_ORDER = 32
 
 
-def _conv_power_table(m: list[float], max_s: int, max_t: int) -> list[list[float]]:
-    """C[s][t] = sum over compositions of t into s nonnegative parts of
-    products m_{i_1}...m_{i_s}, with m_0 = 1."""
-    seq = [1.0] + list(m)
-    seq += [0.0] * max(0, max_t + 1 - len(seq))
-    table = [[0.0] * (max_t + 1) for _ in range(max_s + 1)]
-    table[0][0] = 1.0
-    for s in range(1, max_s + 1):
-        prev = table[s - 1]
-        cur = table[s]
-        for t in range(max_t + 1):
-            cur[t] = sum(prev[t - i] * seq[i] for i in range(t + 1))
-    return table
+def _free_relation(m: np.ndarray, kappa: np.ndarray, moments_known: bool) -> None:
+    """Complete m_n = sum_{s=1}^{n} kappa_s [t^{n-s}] M(t)^s in place.
+
+    m and kappa have length N + 1 with m[0] = 1; the side named by
+    ``moments_known`` holds m_1..m_N (or kappa_1..kappa_N) and the other is
+    filled.  P[s, t] = [t^t] M(t)^s; its column t depends on m_1..m_t only,
+    and P[s, t] = P[s-1, t] + sum_{i=1}^{t} P[s-1, t-i] m_i, a cumulative
+    sum over s.
+    """
+    N = m.size - 1
+    P = np.zeros((N + 1, N + 1))
+    P[:, 0] = 1.0  # m_0^s
+    for n in range(1, N + 1):
+        s = np.arange(1, n)
+        lower = float(kappa[1:n] @ P[s, n - s])  # the s = n term is kappa_n
+        if moments_known:
+            kappa[n] = m[n] - lower
+        else:
+            m[n] = lower + kappa[n]
+        P[1:, n] = np.cumsum(P[:-1, n - 1::-1] @ m[1:n + 1])
 
 
 @dataclass(frozen=True)
@@ -52,33 +60,23 @@ class CumulantSequence:
 
 def moments_to_cumulants(moments, support_radius: float = 0.0) -> CumulantSequence:
     """Invert the free moment-cumulant recursion; exact at working precision."""
-    m = [float(x) for x in moments]
-    n_max = len(m)
-    if n_max < 1:
+    m = np.concatenate([[1.0], np.asarray(moments, dtype=float)])
+    if m.size < 2:
         raise DomainError("need at least one moment")
-    table = _conv_power_table(m, n_max, n_max)
-    kappa: list[float] = []
-    for n in range(1, n_max + 1):
-        acc = m[n - 1]
-        for s in range(1, n):
-            acc -= kappa[s - 1] * table[s][n - s]
-        kappa.append(acc)  # the s = n term is kappa_n * m_0^n = kappa_n
-    return CumulantSequence(kappa=tuple(kappa),
+    kappa = np.zeros_like(m)
+    _free_relation(m, kappa, moments_known=True)
+    return CumulantSequence(kappa=tuple(kappa[1:].tolist()),
                             source_support_radius=float(support_radius))
 
 
 def cumulants_to_moments(seq: CumulantSequence | tuple | list) -> list[float]:
     """Forward free moment-cumulant recursion (exact inverse of the above)."""
-    kappa = list(seq.kappa) if isinstance(seq, CumulantSequence) else [float(x) for x in seq]
-    n_max = len(kappa)
-    m: list[float] = []
-    for n in range(1, n_max + 1):
-        table = _conv_power_table(m, n, n)
-        acc = 0.0
-        for s in range(1, n + 1):
-            acc += kappa[s - 1] * table[s][n - s]
-        m.append(acc)
-    return m
+    kappa = np.concatenate([[0.0], np.asarray(
+        seq.kappa if isinstance(seq, CumulantSequence) else seq, dtype=float)])
+    m = np.zeros_like(kappa)
+    m[0] = 1.0
+    _free_relation(m, kappa, moments_known=False)
+    return m[1:].tolist()
 
 
 def measure_cumulants(mu: Measure, order: int) -> CumulantSequence:
@@ -107,20 +105,10 @@ def kargin_bound_check(mu: Measure, order: int) -> list[dict]:
 def k_transform_series(mu: Measure, z, order: int = DEFAULT_ORDER) -> complex:
     """Truncated Laurent series 1/z + sum_{m=1}^{N} kappa_m z^{m-1}.
 
-    Valid inside 0 < |z| < 1/(6L); evaluation outside raises OutOfDiscError.
+    This is phi_theta with theta = (1).  Valid inside 0 < |z| < 1/(6L);
+    evaluation outside raises OutOfDiscError.
     """
-    z = complex(z)
-    L = mu.support_radius
-    if abs(z) == 0.0 or (L > 0.0 and abs(z) >= 1.0 / (6.0 * L)):
-        raise OutOfDiscError(
-            f"k_transform_series requires 0 < |z| < 1/(6L) = {1.0/(6.0*L) if L else math.inf}")
-    seq = measure_cumulants(mu, order)
-    acc = 1.0 / z
-    zp = 1.0 + 0j
-    for m in range(1, order + 1):
-        acc += seq.kappa[m - 1] * zp
-        zp *= z
-    return acc
+    return phi_theta(mu, [1.0], z, order)
 
 
 def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:

@@ -28,10 +28,6 @@ from .subordination import (DEFAULT_OPTIONS, SolveOptions, _raise_unconverged,
                             g_free_grid, solve_grid, weighted_sum_g,
                             weighted_summands)
 
-# Support runs loosen the tolerance (see support_experiment); every other
-# harness uses the library default.
-SUPPORT_OPTIONS = SolveOptions(tol=1e-7)
-
 
 # ---------------------------------------------------------------------------
 # cubic roots: Cardano with a Newton polish step per root
@@ -330,16 +326,8 @@ def detect_support(dist: GriddedDistribution, threshold: float,
 
 def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
                        eta: float = 1e-4, points: int = DEFAULT_POINTS,
-                       opts: SolveOptions = SUPPORT_OPTIONS) -> SupportReport:
-    """Verify the superconvergence support enclosures for a weighted sum.
-
-    The default solver options (SUPPORT_OPTIONS) have a looser tolerance
-    than the library default: for large n the residual's sum identity
-    carries a floating-point floor of order n*eps (about 1.4e-12 at
-    n = 1024), so a 1e-12 absolute tolerance is unattainable.  A 1e-7
-    tolerance keeps the G error orders of magnitude below any sensible
-    density threshold.
-    """
+                       opts: SolveOptions = DEFAULT_OPTIONS) -> SupportReport:
+    """Verify the superconvergence support enclosures for a weighted sum."""
     if density_threshold <= 0.0:
         raise DomainError("density_threshold must be positive")
     mu = mu.standardize()

@@ -4,8 +4,12 @@
 the CDF is a cumulative trapezoid plus a left-tail correction derived from
 the 1/z asymptote of G (for x0 left of the support, the smoothed tail mass
 is approximately -(eta/pi) Re G(x0 + i eta)).  Distances compare the
-eta-smoothed CDFs of both inputs unless an analytic CDF is supplied, in
-which case that side is exact.
+eta-smoothed CDFs of both inputs unless a measure or an analytic CDF is
+supplied, in which case that side is exact; the comparison grid holds
+every atom and its left neighbour, so sups over jumps are exact.  The
+strip functional of Bai's smoothing inequality and its line integral are
+QUADPACK integrals (scipy.integrate.quad) to a 1e-9 absolute tolerance; a
+missed tolerance raises InversionError.
 """
 
 from __future__ import annotations
@@ -16,12 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import DomainError, InversionError
+from .measures import Measure
 
 DEFAULT_ETA = 1e-3
 DEFAULT_POINTS = 4001
 _NEG_DENSITY_TOL = -1e-12
+_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,15 @@ class GriddedDistribution:
 
     @staticmethod
     def from_csv(text: str) -> "GriddedDistribution":
+        """Parse ``to_csv`` output; other '#' lines, such as the config
+        header the CLI writes first, are skipped."""
         lines = text.splitlines()
-        meta = {}
-        for tok in lines[0].lstrip("# ").split():
-            k, v = tok.split("=")
-            meta[k] = float(v)
-        rows = list(csv.reader(lines[2:]))
-        arr = np.array([[float(v) for v in r] for r in rows if r])
+        meta = next((l for l in lines if l.startswith("# eta=")), None)
+        if meta is None:
+            raise DomainError("density CSV has no '# eta=' line")
+        meta = {k: float(v) for k, v in (t.split("=") for t in meta[2:].split())}
+        body = [l for l in lines if l and not l.startswith("#")][1:]
+        arr = np.array([[float(v) for v in r] for r in csv.reader(body)])
         return GriddedDistribution(grid=arr[:, 0], density=arr[:, 1], cdf=arr[:, 2],
                                    eta=meta["eta"], tail_mass=meta["tail_mass"])
 
@@ -93,21 +102,38 @@ def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,
 
 
 def _as_cdf_pair(a, b):
-    """Common-grid CDF arrays for two inputs (gridded or callable CDFs)."""
-    a_grid = isinstance(a, GriddedDistribution)
-    b_grid = isinstance(b, GriddedDistribution)
-    if a_grid and b_grid:
-        grid = a.grid if a.grid.size >= b.grid.size else b.grid
+    """Common-grid CDF arrays for two inputs: gridded distributions,
+    measures, or CDF callables.
+
+    Two gridded inputs share a uniform grid over both windows; one gridded
+    input lends its grid; otherwise the grid is [-R, R] with R the larger
+    support radius (4 for a bare callable, which carries none).  Every atom
+    x and its left neighbour nextafter(x, -inf) join the grid, so a sup over
+    a step CDF is attained on it.
+    """
+    gridded = [x for x in (a, b) if isinstance(x, GriddedDistribution)]
+    if len(gridded) == 2:
         lo = min(a.x_min, b.x_min)
         hi = max(a.x_max, b.x_max)
-        grid = np.linspace(lo, hi, grid.size)
-        return grid, a.cdf_at(grid), b.cdf_at(grid)
-    if a_grid:
-        return a.grid, a.cdf, np.asarray(b(a.grid), dtype=float)
-    if b_grid:
-        return b.grid, np.asarray(a(b.grid), dtype=float), b.cdf
-    grid = np.linspace(-4.0, 4.0, DEFAULT_POINTS)
-    return grid, np.asarray(a(grid), dtype=float), np.asarray(b(grid), dtype=float)
+        grid = np.linspace(lo, hi, max(a.grid.size, b.grid.size))
+    elif gridded:
+        grid = gridded[0].grid
+    else:
+        R = max(x.support_radius if isinstance(x, Measure) else 4.0 for x in (a, b))
+        grid = np.linspace(-R, R, DEFAULT_POINTS)
+    atoms = np.array([x for m in (a, b) if isinstance(m, Measure)
+                      and m.kind == "atomic" for x, _ in m.atoms])
+    if atoms.size:
+        grid = np.union1d(grid, np.concatenate([atoms, np.nextafter(atoms, -np.inf)]))
+
+    def cdf(x):
+        if isinstance(x, GriddedDistribution):
+            return x.cdf_at(grid)
+        if isinstance(x, Measure):
+            return x.cdf(grid)
+        return np.asarray(x(grid), dtype=float)
+
+    return grid, cdf(a), cdf(b)
 
 
 def kolmogorov(a, b) -> float:
@@ -143,7 +169,9 @@ def delta_eps(a, b, eps: float) -> float:
         raise DomainError("eps must be in (0, 1)")
     grid, ca, cb = _as_cdf_pair(a, b)
     lo, hi = -2.0 + eps, 2.0 - eps
-    if grid[0] > lo or grid[-1] < hi:
+    # beyond a measure's support its CDF is exactly 0 or 1, as interp clamps
+    if any(isinstance(x, GriddedDistribution) for x in (a, b)) and (
+            grid[0] > lo or grid[-1] < hi):
         raise DomainError("grids must cover [-2+eps, 2-eps]")
     xs = np.linspace(lo, hi, 1601)
     fa = np.interp(xs, grid, ca) - np.interp(lo, grid, ca)
@@ -151,23 +179,16 @@ def delta_eps(a, b, eps: float) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
-                      max_depth: int = 30) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + rec(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
+def _integral(f, lo: float, hi: float, where: str) -> float:
+    """QUADPACK integral of f over [lo, hi] (either end may be infinite) to
+    the absolute tolerance _QUAD_TOL; raises InversionError naming ``where``
+    when quad reports that it missed the tolerance."""
+    val, err, _, *warning = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=0.0,
+                                 full_output=1)
+    if warning:
+        raise InversionError(f"quadrature at {where} missed its {_QUAD_TOL:g} "
+                             f"tolerance: error estimate {err:.3e}")
+    return val
 
 
 def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
@@ -179,27 +200,21 @@ def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
     us = np.linspace(-2.0 + eps / 2.0, 2.0 - eps / 2.0, u_points)
     sup = 0.0
     for u in us:
-        val = _adaptive_simpson(
+        val = _integral(
             lambda v: abs(complex(g_a(u + 1j * v)) - complex(g_b(u + 1j * v))),
-            a, 1.0)
+            a, 1.0, f"u={u:.17g}")
         sup = max(sup, val)
     return sup + a + eps**1.5
 
 
-def bai_integrals(g_a, g_b, a: float, eps: float, radius: float = 50.0,
+def bai_integrals(g_a, g_b, a: float, eps: float,
                   u_points: int = 801) -> tuple[float, float]:
     """The two integrals of Bai's smoothing inequality (diagnostic only).
 
-    Returns (line integral of |G_a - G_b| along Im z = 1 over [-R, R] with a
-    1/u^2 tail allowance added, sup over I_eps of the strip integral).
+    Returns (integral of |G_a - G_b| along the whole line Im z = 1, sup over
+    I_eps of the strip integral).
     """
-    def diff1(u: float) -> float:
-        return abs(complex(g_a(u + 1j)) - complex(g_b(u + 1j)))
-
-    line = _adaptive_simpson(diff1, -radius, 0.0) + _adaptive_simpson(diff1, 0.0, radius)
-    # beyond R, |G_a - G_b| decays like C/u^2; extrapolate from the endpoints
-    c_tail = max(diff1(radius), diff1(-radius)) * radius**2
-    line += 2.0 * c_tail / radius
-
+    line = _integral(lambda u: abs(complex(g_a(u + 1j)) - complex(g_b(u + 1j))),
+                     -math.inf, math.inf, "the line Im z = 1")
     strip = delta_tilde(g_a, g_b, a, eps, u_points=u_points) - a - eps**1.5
     return line, strip

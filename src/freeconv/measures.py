@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateMeasureError, DomainError
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -129,6 +131,16 @@ class Measure:
             return max(abs(x) for x, _ in self.atoms)
         return 2.0 * math.sqrt(self.variance_param)
 
+    def cdf(self, x):
+        """CDF at the points x: a step function with right-continuous jumps
+        for atomic measures, the scaled semicircle CDF otherwise."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "atomic":
+            xs = np.array([p for p, _ in self.atoms])
+            cum = np.concatenate([[0.0], np.cumsum([w for _, w in self.atoms])])
+            return cum[np.searchsorted(xs, x, side="right")]
+        return semicircle_cdf(x / math.sqrt(self.variance_param))
+
     # -- transformations ---------------------------------------------------
 
     def dilate(self, c: float) -> "Measure":
@@ -211,8 +223,6 @@ class Measure:
 
 def semicircle_density(x):
     """Density of the variance-1 semicircle law, sqrt(4-x^2)/(2 pi) on [-2,2]."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) < 2.0
@@ -222,8 +232,6 @@ def semicircle_density(x):
 
 def semicircle_cdf(x):
     """CDF of the variance-1 semicircle law, clamped to [0, 1]."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -2.0, 2.0)
     val = 0.5 + xc * np.sqrt(4.0 - xc**2) / (4.0 * math.pi) + np.arcsin(xc / 2.0) / math.pi
@@ -233,8 +241,6 @@ def semicircle_cdf(x):
 
 def arcsine_cdf(x):
     """CDF of the arcsine law on [-2, 2] (Bernoulli + Bernoulli, free)."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -2.0, 2.0)
     val = 0.5 + np.arcsin(xc / 2.0) / math.pi

@@ -12,7 +12,10 @@ like one fixed-point sweep.  A point whose Newton iterate is not finite or
 leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
 (F_j(Z_j) - Z_j) instead, which stays there because Im(F_j(v) - v) >= 0
 (Belinschi-Mai-Speicher).  Convergence is declared on the system residual,
-not on the step size.
+not on the step size, once it is below the tolerance or below the rounding
+level of the sums it is made of, 8 eps (|z| + |sum_i Z_i| + (n-1)|w|),
+whichever is larger: at large |z| or for hundreds of coordinates that
+level exceeds any fixed absolute tolerance.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class SolveOptions:
 
 
 DEFAULT_OPTIONS = SolveOptions()
+_ROUNDING = 8.0 * np.finfo(float).eps  # residual floor per unit of its sums
 
 
 @dataclass(frozen=True)
@@ -109,18 +113,22 @@ def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
     evaluate = _make_evaluator(measures)
     F0 = np.empty(m, dtype=complex)
     res = np.empty(m)
+    tol = np.empty(m)
     iterations = np.zeros(m, dtype=int)
     idx, Zw, zw = np.arange(m), Z, zs
 
     for step in range(opts.max_iters + 1):
         F, dF = evaluate(Zw)
         w = c @ F / n
-        sz = c @ Zw - zw
+        s = c @ Zw
+        sz = s - zw
         r = sz - (n - 1) * w
         rw = np.maximum(np.max(np.abs(F - F[0]), axis=0),
                         np.abs(sz - (n - 1) * F[0]))
-        F0[idx], res[idx] = F[0], rw
-        live = rw > opts.tol
+        tw = np.maximum(opts.tol, _ROUNDING * (np.abs(zw) + np.abs(s)
+                                                + (n - 1) * np.abs(w)))
+        F0[idx], res[idx], tol[idx] = F[0], rw, tw
+        live = rw > tw
         if step == opts.max_iters or not np.any(live):
             Z[:, idx] = Zw
             break
@@ -147,7 +155,7 @@ def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
         Zw = Zn
         iterations[idx] += 1
 
-    converged = res <= opts.tol
+    converged = res <= tol
     return Z, F0, 1.0 / F0, res, iterations, converged
 
 

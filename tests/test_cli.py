@@ -78,6 +78,42 @@ def test_distance_from_measure_file(tmp_path):
     assert json.loads(out.read_text())["value"] > 0.1
 
 
+@pytest.mark.parametrize("x, y, metric, expected", [
+    (5.0, 6.0, "kolmogorov", 1.0),
+    (5.0, 6.0, "levy", 1.0),
+    (1e-4, 2e-4, "kolmogorov", 1.0),
+    (1e-4, 2e-4, "levy", 1e-4),
+])
+def test_distance_between_point_masses_is_exact(tmp_path, x, y, metric,
+                                                expected):
+    specs = []
+    for name, pos in (("a", x), ("b", y)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(Measure.point(pos).to_json())
+        specs.append(str(path))
+    out = tmp_path / "dist.json"
+    code = run(["distance", "--a", specs[0], "--b", specs[1],
+                "--metric", metric, "--output", str(out), "--no-timestamp"])
+    assert code == 0
+    assert json.loads(out.read_text())["value"] == pytest.approx(expected,
+                                                                 rel=1e-12)
+
+
+def test_distance_reads_convolve_density_csv(tmp_path):
+    """The density CSV carries the config and timestamp lines before its
+    own header; the bernoulli pair smoothed at eta = 1e-3 is the arcsine law
+    up to the smoothing."""
+    dens = tmp_path / "d.csv"
+    assert run(["convolve", "--preset", "bernoulli", "--preset", "bernoulli",
+                "--density", "--eta", "1e-3", "--points", "801",
+                "--output", str(dens)]) == 0
+    out = tmp_path / "dist.json"
+    assert run(["distance", "--a", str(dens), "--b", "arcsine",
+                "--output", str(out), "--no-timestamp"]) == 0
+    assert json.loads(out.read_text())["value"] == pytest.approx(0.01833,
+                                                                 abs=1e-4)
+
+
 def test_support_command_reports_r_theta(tmp_path):
     out = tmp_path / "s.json"
     code = run(["support", "--preset", "bernoulli", "--n", "1024",
@@ -149,9 +185,29 @@ def test_no_partial_output_on_failure(tmp_path, capsys):
     assert re.search(r"residual \d\.\d+e[+-]\d+", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--n", "8"],
+    ["concentration", "--n", "8"],
+    ["distance", "--a", "arcsine", "--b", "semicircle"],
+])
+def test_solver_flags_rejected_where_nothing_is_solved(argv):
+    assert run(argv + ["--tol", "1e-6", "--output", "-"]) == 1
+
+
+def test_solver_flags_recorded_in_config(tmp_path):
+    out = tmp_path / "r.csv"
+    code = run(["rates", "--preset", "bernoulli", "--n", "4,8,16",
+                "--metric", "delta", "--points", "201", "--tol", "1e-10",
+                "--max-iters", "500", "--output", str(out), "--no-timestamp"])
+    assert code == 0
+    first = out.read_text().splitlines()[0]
+    cfg = json.loads(first[len("# config: "):])
+    assert cfg["tol"] == 1e-10 and cfg["max_iters"] == 500
+
+
 @pytest.mark.parametrize("flag, value, field, default", [
     ("--tol", "1e-6", "max_iters", 10000),
-    ("--max-iters", "400000", "tol", 1e-7),
+    ("--max-iters", "400000", "tol", 1e-12),
 ])
 def test_solver_flag_keeps_other_support_defaults(monkeypatch, flag, value,
                                                   field, default):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from freeconv.complexfn import cauchy, sqrt_cut
-from freeconv.errors import DomainError
+from freeconv.errors import DomainError, InversionError
 from freeconv.inversion import (GriddedDistribution, bai_integrals, delta_eps,
                                 delta_tilde, kolmogorov, levy, recover)
 from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
+from freeconv.subordination import g_free
 
 
 def semicircle_g(zs):
@@ -126,6 +127,25 @@ def test_bai_integrals_vanish_for_identical():
     line, strip = bai_integrals(g, g, a=0.05, eps=0.2)
     assert line == pytest.approx(0.0, abs=1e-6)
     assert strip == pytest.approx(0.0, abs=1e-6)
+
+
+def test_delta_tilde_raises_when_quadrature_misses_tolerance():
+    rough = lambda z: complex(math.sin(1e3 * z.imag))
+    with pytest.raises(InversionError, match=r"u=.*error estimate"):
+        delta_tilde(rough, lambda z: 0j, a=0.05, eps=0.2, u_points=3)
+
+
+@pytest.mark.parametrize("g1", [
+    lambda z: complex(cauchy(Measure.semicircle(1.0), np.array([z]))[0]),
+    lambda z: g_free([Measure.semicircle(0.5), Measure.semicircle(0.5)], z),
+], ids=["closed-form", "solver"])
+def test_bai_line_integral_semicircle_pair(g1):
+    """semicircle(1) vs semicircle(1.3) along the whole line Im z = 1.  The
+    difference decays like 1/u^3, and quad evaluates the solver-backed G out
+    to |u| near 1e3."""
+    g2 = lambda z: complex(cauchy(Measure.semicircle(1.3), np.array([z]))[0])
+    line, _ = bai_integrals(g1, g2, a=0.05, eps=0.2, u_points=3)
+    assert line == pytest.approx(0.252562884262, abs=1e-8)
 
 
 def test_cdf_at_interpolates():

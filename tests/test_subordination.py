@@ -155,6 +155,19 @@ def test_newton_converges_at_support_edges():
     assert np.max(np.abs(G - binomial_convolution_g(0.5, 1024, zs))) < 1e-6
 
 
+@pytest.mark.parametrize("measures, z", [
+    ([Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)], 1e4 + 1j),
+    ([Measure.bernoulli().scale(0.25)] * 16, 1e3 + 1j),
+], ids=["mixed", "uniform16"])
+def test_large_z_stops_at_rounding_level(measures, z):
+    """The residual's sums round at about eps (|z| + |sum Z_i|), above the
+    1e-12 tolerance here; the stop test's rounding floor still ends the
+    solve, and G matches 1/z + m_2/z^3 (both laws have m_2 = 1)."""
+    _, _, G, _, iters, conv = solve_grid(measures, [z])
+    assert conv[0] and iters[0] <= 3
+    assert abs(G[0] - (1.0 / z + 1.0 / z**3)) <= 1e-9 * abs(1.0 / z)
+
+
 def test_mixed_list_stays_in_domain():
     """A narrow semicircle next to atomic summands pushes its Z far out;
     no evaluation may leave Im Z_i >= Im z."""
