@@ -237,8 +237,10 @@ def cmd_sphere(args) -> int:
     buf.write(_header_lines(args, cfg))
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"])
-    for i in range(args.count):
-        st = vector_stats(sample(args.n, args.seed, index=i).theta)
+    # with no rows, nothing is drawn and n is not checked
+    thetas = sample(args.n, args.seed, np.arange(args.count)) if args.count > 0 else []
+    for i, theta in enumerate(thetas):
+        st = vector_stats(theta)
         w.writerow([i, _FMT % st["max_abs"], _FMT % st["sum_abs_pow"][3],
                     _FMT % st["sum_abs_pow"][4], _FMT % st["sum_cubes"]])
     _atomic_write(args.output, buf.getvalue())

@@ -6,6 +6,15 @@ draws from its own counter-based Philox stream keyed by (s, k), and
 Gaussians are produced by Marsaglia polar rejection from that stream, so the
 k-th sample is identical no matter which other samples are generated or in
 what order.
+
+``sample`` with a 1-D integer index array draws all rows in one batch, byte
+for byte equal to the scalar path.  One Philox is rekeyed to (s, k) for each
+row and gives the 2m raw words, m = max(n, 8), from which the scalar loop
+draws its first m u's and m v's.  The polar rejection, the compaction of the
+accepted pairs and the normalisation then run over a block of rows at once.
+A row falls back to the scalar path when its first round yields fewer than
+n values, when its norm is 0, or when its seed or index lies outside
+[-2**63, 2**63), where numpy builds the Philox key another way.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import chdtrc
 
 from .errors import DomainError
 
@@ -62,10 +71,71 @@ def _polar_gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     return out[:count]
 
 
-def sample(n: int, seed: int, index: int = 0) -> WeightVector:
-    """One uniform point on S^{n-1}; deterministic given (n, seed, index)."""
+def _first_round(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n polar Gaussians of each row of raw Philox words, and the
+    mask of rows whose first round gave fewer than n (their values are junk).
+    """
+    m = raw.shape[1] // 2
+    uv = -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)  # Generator.uniform(-1, 1)
+    u, v = uv[:, :m], uv[:, m:]
+    s = u * u + v * v
+    keep = (s > 0.0) & (s < 1.0)
+    accepted = np.count_nonzero(keep, axis=1)[:, None]
+    order = np.argsort(~keep, axis=1, kind="stable")  # accepted pairs first
+    u, v, s = (np.take_along_axis(x, order, axis=1) for x in (u, v, s))
+    s[np.arange(m) >= accepted] = 1.0  # rejected slots: f = 0, never read
+    f = np.sqrt(-2.0 * np.log(s) / s)
+    g = np.concatenate([u * f, v * f], axis=1)
+    j = np.arange(n)
+    cols = np.where(j < accepted, j, m + j - accepted)
+    return np.take_along_axis(g, cols, axis=1), 2 * accepted[:, 0] < n
+
+
+_BLOCK = 1 << 17  # raw words per block: bounds the temporaries, not the rows
+
+
+def _sample_rows(n: int, seed, idx: np.ndarray) -> np.ndarray:
+    """The rows sample(n, seed, k).theta for k in idx, drawn in blocks."""
+    out = np.empty((idx.size, n))
+    m = max(n, 8)
+    s = int(seed)
+    fast = (idx < 2**63) & (-2**63 <= s < 2**63)
+    bitgen = np.random.Philox(key=[0, 0])
+    state = bitgen.state  # zero counter, empty buffer: the start of a stream
+    key = state["state"]["key"]
+    key[0] = s % 2**64  # Philox(key=[s, k]) wraps int64 keys the same way
+    rows = max(1, _BLOCK // (2 * m))
+    raw = np.empty((rows, 2 * m), dtype=np.uint64)
+    for lo in range(0, idx.size, rows):
+        ks = idx[lo:lo + rows]
+        for i, k in enumerate(ks.astype(np.int64).view(np.uint64).tolist()):
+            key[1] = k
+            bitgen.state = state
+            raw[i] = bitgen.random_raw(2 * m)
+        g, short = _first_round(raw[:ks.size], n)
+        sq = np.vecdot(g, g)  # the same bytes as np.linalg.norm's dot
+        redo = short | (sq == 0.0) | ~fast[lo:lo + rows]
+        sq[redo] = 1.0
+        block = out[lo:lo + ks.size]
+        np.divide(g, np.sqrt(sq)[:, None], out=block)
+        for r in np.flatnonzero(redo):
+            block[r] = sample(n, seed, int(ks[r])).theta
+        if not np.all(np.abs(np.sum(block * block, axis=1) - 1.0) <= 1e-12):
+            raise DomainError("weight vector must lie on the unit sphere")
+    return out
+
+
+def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.ndarray:
+    """Uniform points on S^{n-1}, deterministic given (n, seed, index).
+
+    A scalar index gives one WeightVector.  A 1-D integer index array gives
+    the (len(index), n) matrix whose rows are those samples' weights, byte
+    for byte equal to drawing each row on its own.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
+        return _sample_rows(n, seed, index)
     rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
     g = _polar_gaussians(rng, n)
     norm = float(np.linalg.norm(g))
@@ -77,7 +147,9 @@ def sample(n: int, seed: int, index: int = 0) -> WeightVector:
 
 def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     """count-by-n matrix of independent uniform sphere points."""
-    return np.stack([sample(n, seed, index=k).theta for k in range(count)])
+    if count < 0:
+        raise DomainError("count must be >= 0")
+    return sample(n, seed, np.arange(count))
 
 
 def vector_stats(theta) -> dict:
@@ -119,7 +191,13 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray, bins: int = 40) -> float:
         obs, exp = obs[:-1], exp[:-1]
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return float(_stats.chi2.sf(chi2, dof))
+    return float(chdtrc(dof, chi2))
+
+
+# Rows per block of concentration_report: a multiple of 8, so that the
+# elementwise powers' SIMD lanes, and with them the row sums' bytes, match
+# those over the whole matrix at once.
+_REPORT_ROWS = 1024
 
 
 def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dict:
@@ -134,8 +212,16 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     """
     if n < 4 or samples < 1000:
         raise DomainError("need n >= 4 and samples >= 1000")
-    mat = sample_matrix(n, samples, seed)
-    absmat = np.abs(mat)
+    max_abs, cubes = np.empty(samples), np.empty(samples)
+    abs_pow = {3: np.empty(samples), 4: np.empty(samples)}
+    for lo in range(0, samples, _REPORT_ROWS):
+        mat = sample(n, seed, np.arange(lo, min(lo + _REPORT_ROWS, samples)))
+        absmat = np.abs(mat)
+        rows = slice(lo, lo + len(mat))
+        max_abs[rows] = np.max(absmat, axis=1)
+        for k, sums in abs_pow.items():
+            sums[rows] = np.sum(absmat**k, axis=1)
+        cubes[rows] = np.sum(mat**3, axis=1)
 
     def entry(name, event_freq, bound):
         stderr = math.sqrt(max(event_freq * (1.0 - event_freq), 1.0 / samples) / samples)
@@ -150,17 +236,16 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     report = {"n": n, "samples": samples, "seed": seed, "checks": []}
 
     thresh = A * math.sqrt(math.log(n) / n)
-    freq = float(np.mean(np.max(absmat, axis=1) > thresh))
+    freq = float(np.mean(max_abs > thresh))
     report["checks"].append(entry("max_coordinate", freq, 8.0 / (A * math.sqrt(2 * math.pi)) / n))
 
     for k, bk in ((3, 33.0), (4, 121.0)):
         r = 1.0
         thresh = bk * r / n ** ((k - 2) / 2.0)
-        freq = float(np.mean(np.sum(absmat**k, axis=1) >= thresh))
+        freq = float(np.mean(abs_pow[k] >= thresh))
         report["checks"].append(entry(f"power_sum_k{k}", freq,
                                       math.exp(-((r * n) ** (2.0 / k)))))
 
-    cubes = np.sum(mat**3, axis=1)
     thresh = 10.0 / (math.sqrt(n) * math.log(n))
     freq = float(np.mean(np.abs(cubes) >= thresh))
     report["checks"].append(entry("cube_sum", freq, 2.0 / math.sqrt(n)))

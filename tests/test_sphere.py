@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freeconv
 from freeconv.errors import DomainError
 from freeconv.sphere import (WeightVector, concentration_report,
                              marginal_chi2_pvalue, marginal_density, sample,
@@ -31,6 +36,106 @@ def test_sample_matrix_rows_match_indexed_samples():
     assert M.shape == (5, 8)
     for k in range(5):
         assert np.array_equal(M[k], sample(8, seed=1, index=k).theta)
+
+
+def _stream_loop_row(n, seed, k):
+    """Reference: row k drawn on its own from Philox(key=[seed, k]) by the
+    scalar polar loop, as sample() with a scalar index does."""
+    rng = np.random.Generator(np.random.Philox(key=[int(seed), int(k)]))
+    while True:
+        out = np.empty(0)
+        while out.size < n:
+            m = max(n - out.size, 8)
+            u = rng.uniform(-1.0, 1.0, size=m)
+            v = rng.uniform(-1.0, 1.0, size=m)
+            s = u * u + v * v
+            keep = (s > 0.0) & (s < 1.0)
+            u, v, s = u[keep], v[keep], s[keep]
+            f = np.sqrt(-2.0 * np.log(s) / s)
+            out = np.concatenate([out, u * f, v * f])
+        g = out[:n]
+        norm = float(np.linalg.norm(g))
+        if norm != 0.0:
+            return g / norm
+
+
+# The extra indices are rows whose first round of 8 pairs gives fewer than n
+# values, so they take the scalar fallback.  Each count crosses a block of
+# the batched sampler except at n = 1, 2, 3.
+@pytest.mark.parametrize("n,count,seed,extra", [
+    (1, 300, 1, [5529]), (2, 300, 1, [5529]), (3, 400, 2, [344]),
+    (8, 8300, 0, []), (64, 1100, 0, []), (501, 150, 5, []),
+])
+def test_sample_matrix_matches_stream_loop_bytes(n, count, seed, extra):
+    ref = np.stack([_stream_loop_row(n, seed, k) for k in range(count)])
+    assert sample_matrix(n, count, seed).tobytes() == ref.tobytes()
+    if extra:
+        got = sample(n, seed, np.array(extra))
+        assert got.tobytes() == np.stack([_stream_loop_row(n, seed, k)
+                                          for k in extra]).tobytes()
+
+
+@pytest.mark.parametrize("seed,idx", [
+    (-3, np.arange(-5, 20)),
+    (-2**63, np.array([2**63 - 1, -2**63, 0])),
+    (2**63 + 1, np.arange(3)),
+    (7, np.array([2**63 + 5, 5], dtype=np.uint64)),
+    (4, np.array([7, 0, 3, 3, 12], dtype=np.int32)),
+])
+def test_index_array_matches_scalar_sample(seed, idx):
+    M = sample(6, seed, idx)
+    assert M.shape == (idx.size, 6)
+    assert M.tobytes() == np.stack([sample(6, seed, k).theta for k in idx]).tobytes()
+
+
+def test_scalar_index_still_gives_weight_vector():
+    assert isinstance(sample(6, 4, 7), WeightVector)
+    assert isinstance(sample(6, 4, np.int64(7)), WeightVector)
+    assert np.array_equal(sample(6, 4, 7.9).theta, sample(6, 4, 7).theta)
+
+
+def test_sample_matrix_count_edges():
+    assert sample_matrix(5, 0, seed=1).shape == (0, 5)
+    with pytest.raises(DomainError):
+        sample_matrix(5, -1, seed=1)
+
+
+def _full_matrix_report(n, samples, seed, A=4.0):
+    """Reference: concentration_report computed on the whole matrix at once."""
+    mat = sample_matrix(n, samples, seed)
+    absmat = np.abs(mat)
+    cubes = np.sum(mat**3, axis=1)
+    freqs = [(np.max(absmat, axis=1) > A * math.sqrt(math.log(n) / n),
+              8.0 / (A * math.sqrt(2 * math.pi)) / n)]
+    for k, bk in ((3, 33.0), (4, 121.0)):
+        freqs.append((np.sum(absmat**k, axis=1) >= bk / n ** ((k - 2) / 2.0),
+                      math.exp(-(n ** (2.0 / k)))))
+    freqs.append((np.abs(cubes) >= 10.0 / (math.sqrt(n) * math.log(n)),
+                  2.0 / math.sqrt(n)))
+    freqs.append((np.abs(cubes) >= 5.0 / n,
+                  2.0 * math.exp(-(5.0 ** (2.0 / 3.0)) / 23.0)))
+    checks = []
+    for name, (event, bound) in zip(("max_coordinate", "power_sum_k3", "power_sum_k4",
+                                     "cube_sum", "cube_sum_t"), freqs):
+        freq = float(np.mean(event))
+        stderr = math.sqrt(max(freq * (1.0 - freq), 1.0 / samples) / samples)
+        checks.append({"name": name, "bound": bound, "empirical": freq,
+                       "stderr": stderr, "pass": freq <= bound + 3.0 * stderr})
+    return {"n": n, "samples": samples, "seed": seed, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks)}
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 64])
+def test_concentration_report_matches_full_matrix(n):
+    assert concentration_report(n, 2000, seed=n) == _full_matrix_report(n, 2000, n)
+
+
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = "import sys, freeconv; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_uniform_weight_vector():
