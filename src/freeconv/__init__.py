@@ -22,14 +22,15 @@ from .measures import (Measure, arcsine_cdf, semicircle_cdf,
                        semicircle_density)
 from .sphere import (WeightVector, concentration_report, marginal_density,
                      sample, sample_matrix, vector_stats)
-from .subordination import (SolveOptions, SubordinationSolution, g_free,
-                            g_free_grid, solve, solve_grid, weighted_sum_g)
+from .subordination import (GridSolution, SolveOptions, SubordinationSolution,
+                            g_free, g_free_grid, solve, solve_grid,
+                            weighted_sum_g)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BranchCutError", "CumulantSequence", "DegenerateMeasureError",
-    "DomainError", "FreeconvError", "FunctionalEqTerms",
+    "DomainError", "FreeconvError", "FunctionalEqTerms", "GridSolution",
     "GriddedDistribution", "InversionError", "IterationError", "Measure",
     "OutOfDiscError", "RateReport", "RateRow", "SolveOptions",
     "SubordinationSolution", "SupportReport", "WeightVector",

@@ -154,10 +154,11 @@ def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
     stats = {"max_iterations": 0}
 
     def g_eval(zs):
-        _, _, G, res, iters, conv = solve_grid(measures, zs, opts)
-        _raise_unconverged(zs, res, iters, conv)
-        stats["max_iterations"] = max(stats["max_iterations"], int(np.max(iters)))
-        return G
+        sol = solve_grid(measures, zs, opts)
+        _raise_unconverged(zs, sol)
+        stats["max_iterations"] = max(stats["max_iterations"],
+                                      int(np.max(sol.iterations)))
+        return sol.G
 
     dist = recover(g_eval, -R, R, points=points, eta=eta)
     return dist, stats
@@ -403,14 +404,14 @@ def functional_residuals(mu: Measure, theta, z_grid,
     th = th[np.argsort(np.abs(th), kind="stable")]
     measures = weighted_summands(mu, th)
     zs = np.atleast_1d(np.asarray(z_grid, dtype=complex))
-    Zs, _, _, res, iters, conv = solve_grid(measures, zs, opts)
-    _raise_unconverged(zs, res, iters, conv)
-    Fs = np.stack([1.0 / cauchy(m, Zs[i]) for i, m in enumerate(measures)])
+    sol = solve_grid(measures, zs, opts)
+    _raise_unconverged(zs, sol)
+    Fs = np.stack([1.0 / cauchy(m, Z) for m, Z in zip(measures, sol.Z)])
     m3 = mu.moment(3)
     t2 = th**2
     t3 = th**3
     out = []
-    for z, Z, F in zip(zs, Zs.T, Fs.T):
+    for z, Z, F in zip(zs, sol.Z.T, Fs.T):
         z1 = Z[0]
         j1 = np.sum(F[1:] - Z[1:] + t2[1:] / Z[1:] + t3[1:] * m3 / Z[1:] ** 2)
         j2 = np.sum(t2[1:] / z1 - t2[1:] / Z[1:])

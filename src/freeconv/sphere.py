@@ -7,14 +7,18 @@ Gaussians are produced by Marsaglia polar rejection from that stream, so the
 k-th sample is identical no matter which other samples are generated or in
 what order.
 
+Seeds and indices must lie in [-2**63, 2**64); they key the stream modulo
+2**64, so negative values wrap as numpy's Philox(key=[s, k]) wraps them.
+
 ``sample`` with a 1-D integer index array draws all rows in one batch, byte
 for byte equal to the scalar path.  One Philox is rekeyed to (s, k) for each
-row and gives the 2m raw words, m = max(n, 8), from which the scalar loop
-draws its first m u's and m v's.  The polar rejection, the compaction of the
-accepted pairs and the normalisation then run over a block of rows at once.
-A row falls back to the scalar path when its first round yields fewer than
-n values, when its norm is 0, or when its seed or index lies outside
-[-2**63, 2**63), where numpy builds the Philox key another way.
+row, through a state dict of plain ints, and gives the 2m raw words,
+m = max(n, 8), from which the scalar loop draws its first m u's and m v's.
+The polar rejection and the normalisation then run over a block of rows at
+once, with no sort: each row's first n values are gathered by the rank of
+its accepted pairs.  A row falls back to the scalar path when its first
+round yields fewer than n values or when its norm is 0.
+``concentration_report`` forms its power sums from products, not ``pow``.
 """
 
 from __future__ import annotations
@@ -76,34 +80,45 @@ def _first_round(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     mask of rows whose first round gave fewer than n (their values are junk).
     """
     m = raw.shape[1] // 2
-    uv = -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)  # Generator.uniform(-1, 1)
+    uv = (raw >> 11) * 2.0**-52 - 1.0  # Generator.uniform(-1, 1), bit for bit
     u, v = uv[:, :m], uv[:, m:]
     s = u * u + v * v
     keep = (s > 0.0) & (s < 1.0)
-    accepted = np.count_nonzero(keep, axis=1)[:, None]
-    order = np.argsort(~keep, axis=1, kind="stable")  # accepted pairs first
-    u, v, s = (np.take_along_axis(x, order, axis=1) for x in (u, v, s))
-    s[np.arange(m) >= accepted] = 1.0  # rejected slots: f = 0, never read
-    f = np.sqrt(-2.0 * np.log(s) / s)
-    g = np.concatenate([u * f, v * f], axis=1)
-    j = np.arange(n)
-    cols = np.where(j < accepted, j, m + j - accepted)
-    return np.take_along_axis(g, cols, axis=1), 2 * accepted[:, 0] < n
+    accepted = np.count_nonzero(keep, axis=1)
+    short = 2 * accepted < n
+    pos = np.flatnonzero(keep)  # the accepted pairs, row after row
+    if pos.size == 0:
+        return np.zeros((raw.shape[0], n)), short
+    a, j = accepted[:, None], np.arange(n)
+    half = j >= a  # a row's accepted u's, then its accepted v's
+    rank = (np.cumsum(accepted) - accepted)[:, None] + np.where(half, j - a, j)
+    p = pos[np.minimum(rank, pos.size - 1)]  # short rows read other pairs
+    sp = s.ravel()[p]
+    f = np.sqrt(-2.0 * np.log(sp) / sp)
+    return uv.ravel()[p + (p // m + half) * m] * f, short
+
+
+def _key(value) -> int:
+    """A seed or index as its Philox key word: value mod 2**64."""
+    k = int(value)
+    if not -2**63 <= k < 2**64:
+        raise DomainError("seeds and indices must lie in [-2**63, 2**64)")
+    return k % 2**64
 
 
 _BLOCK = 1 << 17  # raw words per block: bounds the temporaries, not the rows
 
 
-def _sample_rows(n: int, seed, idx: np.ndarray) -> np.ndarray:
+def _sample_rows(n: int, seed: int, idx: np.ndarray) -> np.ndarray:
     """The rows sample(n, seed, k).theta for k in idx, drawn in blocks."""
     out = np.empty((idx.size, n))
     m = max(n, 8)
-    s = int(seed)
-    fast = (idx < 2**63) & (-2**63 <= s < 2**63)
-    bitgen = np.random.Philox(key=[0, 0])
-    state = bitgen.state  # zero counter, empty buffer: the start of a stream
-    key = state["state"]["key"]
-    key[0] = s % 2**64  # Philox(key=[s, k]) wraps int64 keys the same way
+    bitgen = np.random.Philox()
+    key = [_key(seed), 0]
+    # the start of the stream Philox(key=key): zero counter, empty buffer;
+    # the state setter reads plain ints much faster than numpy scalars
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rows = max(1, _BLOCK // (2 * m))
     raw = np.empty((rows, 2 * m), dtype=np.uint64)
     for lo in range(0, idx.size, rows):
@@ -114,7 +129,7 @@ def _sample_rows(n: int, seed, idx: np.ndarray) -> np.ndarray:
             raw[i] = bitgen.random_raw(2 * m)
         g, short = _first_round(raw[:ks.size], n)
         sq = np.vecdot(g, g)  # the same bytes as np.linalg.norm's dot
-        redo = short | (sq == 0.0) | ~fast[lo:lo + rows]
+        redo = short | (sq == 0.0)
         sq[redo] = 1.0
         block = out[lo:lo + ks.size]
         np.divide(g, np.sqrt(sq)[:, None], out=block)
@@ -130,13 +145,15 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
 
     A scalar index gives one WeightVector.  A 1-D integer index array gives
     the (len(index), n) matrix whose rows are those samples' weights, byte
-    for byte equal to drawing each row on its own.
+    for byte equal to drawing each row on its own.  Seeds and indices must
+    lie in [-2**63, 2**64); they key the stream modulo 2**64.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
         return _sample_rows(n, seed, index)
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
+    key = np.array([_key(seed), _key(index)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     g = _polar_gaussians(rng, n)
     norm = float(np.linalg.norm(g))
     while norm == 0.0:  # probability ~0; retry on the same stream
@@ -194,9 +211,9 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray, bins: int = 40) -> float:
     return float(chdtrc(dof, chi2))
 
 
-# Rows per block of concentration_report: a multiple of 8, so that the
-# elementwise powers' SIMD lanes, and with them the row sums' bytes, match
-# those over the whole matrix at once.
+# Rows per block of concentration_report.  It only bounds the memory of the
+# block's temporaries: products are exact per element and each row is summed
+# on its own, so the statistics do not depend on it.
 _REPORT_ROWS = 1024
 
 
@@ -216,12 +233,13 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     abs_pow = {3: np.empty(samples), 4: np.empty(samples)}
     for lo in range(0, samples, _REPORT_ROWS):
         mat = sample(n, seed, np.arange(lo, min(lo + _REPORT_ROWS, samples)))
-        absmat = np.abs(mat)
         rows = slice(lo, lo + len(mat))
-        max_abs[rows] = np.max(absmat, axis=1)
-        for k, sums in abs_pow.items():
-            sums[rows] = np.sum(absmat**k, axis=1)
-        cubes[rows] = np.sum(mat**3, axis=1)
+        sq = mat * mat  # products, not pow: pow is slow on negative bases
+        cube = sq * mat
+        max_abs[rows] = np.max(np.abs(mat), axis=1)
+        cubes[rows] = np.sum(cube, axis=1)
+        abs_pow[3][rows] = np.sum(np.abs(cube), axis=1)
+        abs_pow[4][rows] = np.sum(sq * sq, axis=1)
 
     def entry(name, event_freq, bound):
         stderr = math.sqrt(max(event_freq * (1.0 - event_freq), 1.0 / samples) / samples)

@@ -21,6 +21,7 @@ level exceeds any fixed absolute tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,16 @@ class SubordinationSolution:
     iterations: int
     residual: float
     converged: bool
+
+
+class GridSolution(NamedTuple):
+    """solve_grid's result: Z of shape (n, m), then one entry per point."""
+    Z: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def _make_evaluator(measures):
@@ -155,16 +166,16 @@ def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
         Zw = Zn
         iterations[idx] += 1
 
-    converged = res <= tol
-    return Z, F0, 1.0 / F0, res, iterations, converged
+    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
-def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
+def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
+               init=None) -> GridSolution:
     """Solve the subordination system simultaneously at every point of zs.
 
-    Returns (Z, F, G, residual, iterations, converged) with Z of shape
-    (n, m); points take Newton steps independently.  ``init`` (shape
-    (n, m), Im Z_i >= Im z) replaces the start Z_i = z.
+    Returns the GridSolution (Z, F, G, residual, iterations, converged)
+    with Z of shape (n, m); points take Newton steps independently.
+    ``init`` (shape (n, m), Im Z_i >= Im z) replaces the start Z_i = z.
     Duplicate measures share a coordinate internally: the fixed point is
     symmetric in identical coordinates and the symmetric init preserves
     that, so the collapsed system has the same solution.
@@ -190,9 +201,8 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
             expand.append(k)
         if len(unique) < n:
             Z0 = np.tile(zs, (len(unique), 1))
-            Zu, F0, G, res, iters, conv = _iterate(unique, counts, n, zs,
-                                                   opts, Z0)
-            return Zu[expand], F0, G, res, iters, conv
+            sol = _iterate(unique, counts, n, zs, opts, Z0)
+            return sol._replace(Z=sol.Z[expand])
 
     Z0 = np.tile(zs, (n, 1)) if init is None else np.array(init, dtype=complex)
     if not np.all(Z0.imag >= zs.imag):  # NaN fails too
@@ -200,16 +210,17 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS, init=None):
     return _iterate(measures, [1] * n, n, zs, opts, Z0)
 
 
-def _raise_unconverged(zs, res, iters, conv) -> None:
+def _raise_unconverged(zs, sol: GridSolution) -> None:
     """Raise IterationError naming the first point of a solve_grid result
     that did not converge; return if every point did."""
-    if np.all(conv):
+    if np.all(sol.converged):
         return
-    bad = int(np.argmax(~conv))
+    bad = int(np.argmax(~sol.converged))
+    res, iters = float(sol.residual[bad]), int(sol.iterations[bad])
     raise IterationError(
         f"subordination failed to converge at z={complex(zs[bad])} (index {bad}): "
-        f"residual {res[bad]:.3e} after {int(iters[bad])} iterations",
-        residual=float(res[bad]), iterations=int(iters[bad]))
+        f"residual {res:.3e} after {iters} iterations",
+        residual=res, iterations=iters)
 
 
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
@@ -224,15 +235,15 @@ def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
     init_arr = None
     if init is not None:
         init_arr = np.asarray(init, dtype=complex).reshape(len(list(measures)), 1)
-    Z, F0, G, res, iters, conv = solve_grid(measures, [z], opts, init=init_arr)
-    _raise_unconverged([z], res, iters, conv)
+    sol = solve_grid(measures, [z], opts, init=init_arr)
+    _raise_unconverged([z], sol)
     return SubordinationSolution(
         z=z,
-        Z=tuple(complex(v) for v in Z[:, 0]),
-        common_F=complex(F0[0]),
-        G=complex(G[0]),
-        iterations=int(iters[0]),
-        residual=float(res[0]),
+        Z=tuple(complex(v) for v in sol.Z[:, 0]),
+        common_F=complex(sol.F[0]),
+        G=complex(sol.G[0]),
+        iterations=int(sol.iterations[0]),
+        residual=float(sol.residual[0]),
         converged=True,
     )
 
@@ -245,9 +256,9 @@ def g_free(measures, z, opts: SolveOptions = DEFAULT_OPTIONS) -> complex:
 def g_free_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS):
     """Vectorized g_free over an array of points; raises if any point fails."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    _, _, G, res, iters, conv = solve_grid(measures, zs, opts)
-    _raise_unconverged(zs, res, iters, conv)
-    return G
+    sol = solve_grid(measures, zs, opts)
+    _raise_unconverged(zs, sol)
+    return sol.G
 
 
 def weighted_summands(mu: Measure, theta) -> list[Measure]:

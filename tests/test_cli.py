@@ -233,6 +233,13 @@ def test_support_n_zero_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["sphere", "concentration"])
+def test_seed_outside_key_range_is_config_error(cmd, capsys):
+    code = run([cmd, "--n", "8", "--seed", str(2**64), "--output", "-"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_damping_flag_is_rejected():
     assert run(["convolve", "--preset", "bernoulli", "--damping", "0.5",
                 "--output", "-"]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,9 @@ from freeconv.errors import DomainError
 from freeconv.sphere import (WeightVector, concentration_report,
                              marginal_chi2_pvalue, marginal_density, sample,
                              sample_matrix, vector_stats)
+
+# A numpy RuntimeWarning (say, a key built through a float cast) fails here.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def test_samples_lie_on_unit_sphere():
@@ -60,8 +64,10 @@ def _stream_loop_row(n, seed, k):
 
 
 # The extra indices are rows whose first round of 8 pairs gives fewer than n
-# values, so they take the scalar fallback.  Each count crosses a block of
-# the batched sampler except at n = 1, 2, 3.
+# values, so they take the scalar fallback; an index array of them alone
+# leaves the batch no value to gather at n = 1, 2 (row 5529 of seed 1
+# accepts no pair).
+# Each count crosses a block of the batched sampler except at n = 1, 2, 3.
 @pytest.mark.parametrize("n,count,seed,extra", [
     (1, 300, 1, [5529]), (2, 300, 1, [5529]), (3, 400, 2, [344]),
     (8, 8300, 0, []), (64, 1100, 0, []), (501, 150, 5, []),
@@ -86,6 +92,45 @@ def test_index_array_matches_scalar_sample(seed, idx):
     M = sample(6, seed, idx)
     assert M.shape == (idx.size, 6)
     assert M.tobytes() == np.stack([sample(6, seed, k).theta for k in idx]).tobytes()
+
+
+@pytest.mark.parametrize("seed,k", [(0, 0), (-3, -5), (-2**63, 2**63 - 1),
+                                    (2**63 - 1, -2**63), (5, 12345)])
+def test_keys_below_2_63_keep_the_philox_stream(seed, k):
+    assert sample(6, seed, k).theta.tobytes() == _stream_loop_row(6, seed, k).tobytes()
+
+
+def test_keys_at_and_above_2_63_give_distinct_streams():
+    rows = [sample(4, s, 0).theta for s in (2**63, 2**63 + 1, 2**63 + 1000, 2**64 - 1)]
+    rows += [sample(4, 0, k).theta for k in (2**63, 2**63 + 1)]
+    assert len({r.tobytes() for r in rows}) == len(rows)
+    assert sample(4, 2**64 - 1, 0).theta.tobytes() == sample(4, -1, 0).theta.tobytes()
+    idx = np.array([2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    assert sample(4, 2**63 + 1, idx).tobytes() == np.stack(
+        [sample(4, 2**63 + 1, int(k)).theta for k in idx]).tobytes()
+
+
+@pytest.mark.parametrize("seed,index", [(2**64, 0), (-2**63 - 1, 0), (0, 2**64),
+                                        (0, -2**63 - 1), (2**64, np.arange(2))])
+def test_keys_outside_range_rejected(seed, index):
+    with pytest.raises(DomainError):
+        sample(4, seed, index)
+
+
+# SHA-256 of sampled bytes and of a report: a change to the per-row stream,
+# to the batch path or to the report's statistics shows here.
+@pytest.mark.parametrize("make,digest", [
+    (lambda: sample_matrix(64, 4096, 0).tobytes(),
+     "11e752f8164a160db22ee807973de46f99256c0d3ae7339ab146ace8db8c5eab"),
+    (lambda: sample_matrix(3, 4096, -1).tobytes(),
+     "880a36680ef440f313b86cf37aa941851039fa10335dde86304b3a7728237d04"),
+    (lambda: sample(5, 7, 11).theta.tobytes(),
+     "d23df37dcdbb56d4e6a928b451a604aaa0b98aa3bab47dc0e1a08452aa1f24d3"),
+    (lambda: repr(concentration_report(64, 20000, 0)).encode(),
+     "c4729ec4a6e4cd37ee423c52299a6182c5098d0880b02d31ae5dd39f60470dac"),
+], ids=["matrix64", "matrix3", "scalar5", "report64"])
+def test_golden_digests(make, digest):
+    assert hashlib.sha256(make()).hexdigest() == digest
 
 
 def test_scalar_index_still_gives_weight_vector():
