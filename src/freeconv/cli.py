@@ -1,42 +1,36 @@
 """Command-line front end.
 
-Every command validates its configuration first, computes, then writes the
-result atomically (temp file + rename).  Outputs embed the resolved
-configuration and the seed; pass --no-timestamp for byte-reproducible
-artifacts.  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure, 3 I/O error.
+Every command validates its configuration first, computes, and returns its
+result: a CSV body or a JSON payload.  ``main`` alone turns that into the
+artifact, which embeds the resolved configuration and the seed, and writes
+it atomically (temp file + rename); pass --no-timestamp for
+byte-reproducible artifacts.  Exit codes: 0 success, 1 usage/config error,
+2 numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
-
-import os
-
-if os.environ.get("FREECONV_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["FREECONV_THREADS"])
 
 import argparse
 import csv
 import io
 import json
 import math
+import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .complexfn import cauchy
 from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
-from .experiments import (functional_residuals, rate_experiment,
+from .experiments import (_weights_for, functional_residuals, rate_experiment,
                           rate_report_csv, support_experiment)
 from .inversion import (GriddedDistribution, delta_eps, kolmogorov, levy,
                         recover)
 from .measures import Measure, arcsine_cdf
-from .sphere import WeightVector, concentration_report, sample, vector_stats
+from .sphere import concentration_report, sample, vector_stats
 from .subordination import DEFAULT_OPTIONS, SolveOptions, g_free_grid
 
 _FMT = "%.17g"
@@ -49,12 +43,6 @@ def _load_measure(spec: str) -> Measure:
         with open(spec) as fh:
             return Measure.from_json(fh.read())
     return Measure.from_preset(spec)
-
-
-def _config_dict(args) -> dict:
-    """Every parsed option that was given or has a default, and the command."""
-    return {k: v for k, v in vars(args).items()
-            if k not in ("output", "no_timestamp", "func") and v is not None}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -73,25 +61,32 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _header_lines(args, cfg: dict) -> str:
-    lines = [f"# config: {json.dumps(cfg, sort_keys=True)}\n"]
-    if not args.no_timestamp:
-        lines.append(f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n")
-    return "".join(lines)
+def _artifact(args, result: str | dict) -> str:
+    """A command's result with its configuration (every parsed option that
+    was given or has a default, and the command) and, unless suppressed,
+    a timestamp: '#' lines ahead of a CSV body, or keys of a JSON payload."""
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("output", "no_timestamp", "func") and v is not None}
+    stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
+    if isinstance(result, str):
+        head = f"# config: {json.dumps(cfg, sort_keys=True)}\n"
+        if stamp:
+            head += f"# timestamp: {stamp}\n"
+        return head + result
+    doc = {"config": cfg, **result}
+    if stamp:
+        doc["timestamp"] = stamp
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _json_report(args, cfg: dict, payload: dict) -> str:
-    doc = {"config": cfg, **payload}
-    if not args.no_timestamp:
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    def _default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.bool_):
-            return bool(o)
-        raise TypeError(f"not JSON serializable: {type(o)}")
-
-    return json.dumps(doc, indent=2, sort_keys=True, default=_default) + "\n"
+def _csv(header, rows) -> str:
+    """CSV text with floats printed as %.17g."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_FMT % v if isinstance(v, float) else v for v in row]
+                for row in rows)
+    return buf.getvalue()
 
 
 def _solver_opts(args) -> SolveOptions:
@@ -102,42 +97,25 @@ def _solver_opts(args) -> SolveOptions:
     return replace(DEFAULT_OPTIONS, **given)
 
 
-def _weights(args) -> WeightVector:
-    if args.weights == "uniform":
-        return WeightVector.uniform(args.n)
-    return sample(args.n, args.seed)
-
-
 # ---------------------------------------------------------------------------
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args) -> str:
     specs = args.preset or []
     if not specs:
         raise DomainError("convolve needs at least one --preset or measure file")
     measures = [_load_measure(s) for s in specs]
     opts = _solver_opts(args)
-    cfg = _config_dict(args)
     window = args.window
     if window is None:
         window = sum(m.support_radius for m in measures) + 1.0
-
-    buf = io.StringIO()
-    buf.write(_header_lines(args, cfg))
     if args.density:
-        dist = recover(lambda zs: g_free_grid(measures, zs, opts),
-                       -window, window, points=args.points, eta=args.eta)
-        buf.write(dist.to_csv())
-    else:
-        xs = np.linspace(-window, window, args.points)
-        zs = xs + 1j
-        G = g_free_grid(measures, zs, opts)
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["re_z", "im_z", "re_g", "im_g"])
-        for z, g in zip(zs, G):
-            w.writerow([_FMT % z.real, _FMT % z.imag, _FMT % g.real, _FMT % g.imag])
-    _atomic_write(args.output, buf.getvalue())
-    return 0
+        return recover(lambda zs: g_free_grid(measures, zs, opts),
+                       -window, window, points=args.points, eta=args.eta).to_csv()
+    zs = np.linspace(-window, window, args.points) + 1j
+    G = g_free_grid(measures, zs, opts)
+    return _csv(["re_z", "im_z", "re_g", "im_g"],
+                ((z.real, z.imag, g.real, g.imag) for z, g in zip(zs, G)))
 
 
 def _distribution(spec: str):
@@ -151,107 +129,67 @@ def _distribution(spec: str):
     return _load_measure(spec)
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> dict:
     fa, fb = _distribution(args.a), _distribution(args.b)
-    cfg = _config_dict(args)
     if args.metric == "kolmogorov":
         value = kolmogorov(fa, fb)
     elif args.metric == "levy":
         value = levy(fa, fb)
-    elif args.metric == "delta_eps":
-        value = delta_eps(fa, fb, args.eps)
     else:
-        raise DomainError(f"unknown metric {args.metric!r}")
-    _atomic_write(args.output, _json_report(args, cfg, {"value": value}))
-    return 0
+        value = delta_eps(fa, fb, args.eps)
+    return {"value": value}
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> str:
     mu = _load_measure(args.preset)
     ns = [int(s) for s in args.n.split(",")]
-    metrics = tuple(args.metric.split(","))
-    cfg = _config_dict(args)
-    report = rate_experiment(mu, ns, weight_mode=args.weights, metrics=metrics,
+    report = rate_experiment(mu, ns, weight_mode=args.weights,
+                             metrics=tuple(args.metric.split(",")),
                              reps=args.reps, seed=args.seed, eps=args.eps,
                              eta=args.eta, points=args.points,
                              opts=_solver_opts(args))
-    buf = io.StringIO()
-    buf.write(_header_lines(args, cfg))
-    for name, (slope, r2) in sorted(report.slopes.items()):
-        buf.write(f"# slope[{name}]={_FMT % slope} r2={_FMT % r2}\n")
-    buf.write(rate_report_csv(report))
-    _atomic_write(args.output, buf.getvalue())
-    return 0
+    slopes = "".join(f"# slope[{name}]={_FMT % slope} r2={_FMT % r2}\n"
+                     for name, (slope, r2) in sorted(report.slopes.items()))
+    return slopes + rate_report_csv(report)
 
 
-def cmd_support(args) -> int:
+def cmd_support(args) -> dict:
     mu = _load_measure(args.preset)
-    theta = _weights(args)
-    cfg = _config_dict(args)
+    theta = _weights_for(args.n, args.weights, args.seed, 0)
     rep = support_experiment(mu, theta, density_threshold=args.threshold,
                              eta=args.eta, points=args.points,
                              opts=_solver_opts(args))
-    payload = {
-        "n": rep.n, "L": rep.L, "m3": rep.m3, "r_theta": rep.r_theta,
-        "sum_theta4": rep.sum_theta4, "sum_theta3": rep.sum_theta3,
-        "sum_abs_theta3": rep.sum_abs_theta3,
-        "bound_kargin": rep.bound_kargin, "bound_paper": rep.bound_paper,
-        "preconditions_met": rep.preconditions_met,
-        "detected_support": list(rep.detected_support),
-        "contained_in_paper_bound": rep.contained_in_paper_bound,
-        "contained_in_kargin_bound": rep.contained_in_kargin_bound,
-        "eta": rep.eta, "threshold": rep.threshold,
-    }
-    _atomic_write(args.output, _json_report(args, cfg, payload))
-    return 0
+    return asdict(rep)
 
 
-def cmd_residuals(args) -> int:
+def cmd_residuals(args) -> str:
     mu = _load_measure(args.preset)
-    theta = _weights(args)
-    cfg = _config_dict(args)
+    theta = _weights_for(args.n, args.weights, args.seed, 0)
     side = max(2, int(round(math.sqrt(args.grid_points))))
     re = np.linspace(-args.re_max, args.re_max, side)
     im = np.linspace(args.im_min, args.im_max, side)
     zs = (re[None, :] + 1j * im[:, None]).ravel()
-    terms = functional_residuals(mu, theta, zs,
-                                 opts=_solver_opts(args))
-    buf = io.StringIO()
-    buf.write(_header_lines(args, cfg))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["re_z", "im_z", "residual_p", "residual_q", "vieta_sum_err",
-                "vieta_prod_err", "matched_root_p", "matched_root_q",
-                "match_dist_p", "match_dist_q"])
-    for t in terms:
-        w.writerow([_FMT % t.z.real, _FMT % t.z.imag, _FMT % t.residual_p,
-                    _FMT % t.residual_q, _FMT % t.vieta_sum_err,
-                    _FMT % t.vieta_prod_err, t.matched_root_p, t.matched_root_q,
-                    _FMT % t.match_dist_p, _FMT % t.match_dist_q])
-    _atomic_write(args.output, buf.getvalue())
-    return 0
+    terms = functional_residuals(mu, theta, zs, opts=_solver_opts(args))
+    return _csv(["re_z", "im_z", "residual_p", "residual_q", "vieta_sum_err",
+                 "vieta_prod_err", "matched_root_p", "matched_root_q",
+                 "match_dist_p", "match_dist_q"],
+                ((t.z.real, t.z.imag, t.residual_p, t.residual_q,
+                  t.vieta_sum_err, t.vieta_prod_err, t.matched_root_p,
+                  t.matched_root_q, t.match_dist_p, t.match_dist_q)
+                 for t in terms))
 
 
-def cmd_sphere(args) -> int:
-    cfg = _config_dict(args)
-    buf = io.StringIO()
-    buf.write(_header_lines(args, cfg))
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"])
+def cmd_sphere(args) -> str:
     # with no rows, nothing is drawn and n is not checked
     thetas = sample(args.n, args.seed, np.arange(args.count)) if args.count > 0 else []
-    for i, theta in enumerate(thetas):
-        st = vector_stats(theta)
-        w.writerow([i, _FMT % st["max_abs"], _FMT % st["sum_abs_pow"][3],
-                    _FMT % st["sum_abs_pow"][4], _FMT % st["sum_cubes"]])
-    _atomic_write(args.output, buf.getvalue())
-    return 0
+    stats = map(vector_stats, thetas)
+    return _csv(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"],
+                ((i, st["max_abs"], st["sum_abs_pow"][3], st["sum_abs_pow"][4],
+                  st["sum_cubes"]) for i, st in enumerate(stats)))
 
 
-def cmd_concentration(args) -> int:
-    cfg = _config_dict(args)
-    rep = concentration_report(args.n, args.samples, args.seed, A=args.A)
-    _atomic_write(args.output, _json_report(args, cfg, rep))
-    return 0
+def cmd_concentration(args) -> dict:
+    return concentration_report(args.n, args.samples, args.seed, A=args.A)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +300,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return CONFIG_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (DomainError, ValueError) as exc:
-        print(f"freeconv: config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        _atomic_write(args.output, _artifact(args, args.func(args)))
+        return 0
+    # the numerical errors first: BranchCutError and OutOfDiscError are
+    # DomainErrors too
     except (IterationError, InversionError, BranchCutError,
             OutOfDiscError, ArithmeticError) as exc:
         print(f"freeconv: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except (DomainError, ValueError) as exc:
+        print(f"freeconv: config error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     except OSError as exc:
         print(f"freeconv: i/o error: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -48,25 +48,19 @@ def _free_relation(m: np.ndarray, kappa: np.ndarray, moments_known: bool) -> Non
 
 @dataclass(frozen=True)
 class CumulantSequence:
-    """Free cumulants kappa_1..kappa_N together with the source support radius."""
+    """Free cumulants kappa_1..kappa_N."""
 
     kappa: tuple[float, ...]
-    source_support_radius: float = 0.0
-
-    @property
-    def order(self) -> int:
-        return len(self.kappa)
 
 
-def moments_to_cumulants(moments, support_radius: float = 0.0) -> CumulantSequence:
+def moments_to_cumulants(moments) -> CumulantSequence:
     """Invert the free moment-cumulant recursion; exact at working precision."""
     m = np.concatenate([[1.0], np.asarray(moments, dtype=float)])
     if m.size < 2:
         raise DomainError("need at least one moment")
     kappa = np.zeros_like(m)
     _free_relation(m, kappa, moments_known=True)
-    return CumulantSequence(kappa=tuple(kappa[1:].tolist()),
-                            source_support_radius=float(support_radius))
+    return CumulantSequence(kappa=tuple(kappa[1:].tolist()))
 
 
 def cumulants_to_moments(seq: CumulantSequence | tuple | list) -> list[float]:
@@ -82,7 +76,7 @@ def cumulants_to_moments(seq: CumulantSequence | tuple | list) -> list[float]:
 def measure_cumulants(mu: Measure, order: int) -> CumulantSequence:
     """Free cumulants of a measure, from its exact moments."""
     moments = [mu.moment(k) for k in range(1, order + 1)]
-    return moments_to_cumulants(moments, support_radius=mu.support_radius)
+    return moments_to_cumulants(moments)
 
 
 def kargin_bound_check(mu: Measure, order: int) -> list[dict]:

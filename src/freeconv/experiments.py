@@ -187,6 +187,11 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
     ns = list(n_schedule)
     if any(b <= a for a, b in zip(ns, ns[1:])) or any(n < 2 for n in ns):
         raise DomainError("n_schedule must be increasing with every n >= 2")
+    unknown = set(metrics) - {"delta", "levy", "delta_eps", "delta_tilde"}
+    if unknown:
+        raise DomainError(f"unknown metrics {sorted(unknown)}")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
     mu = mu.standardize()
     rows = []
     for n in ns:
@@ -213,9 +218,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
     rows.sort(key=lambda r: (r.n, r.rep))
     slopes = {}
     for name in metrics:
-        vals = {"delta": [r.delta for r in rows], "levy": [r.levy for r in rows],
-                "delta_eps": [r.delta_eps for r in rows],
-                "delta_tilde": [r.delta_tilde for r in rows]}[name]
+        vals = [getattr(r, name) for r in rows]
         errs = [r.delta_err for r in rows]
         try:
             slopes[name] = fit_loglog_slope([r.n for r in rows], vals, errs)

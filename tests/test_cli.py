@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -253,3 +254,77 @@ def test_timestamp_present_unless_suppressed(tmp_path):
     run(["concentration", "--n", "8", "--samples", "1000", "--seed", "0",
          "--output", str(out), "--no-timestamp"])
     assert "timestamp" not in json.loads(out.read_text())
+
+
+# SHA-256 of each form's --no-timestamp stdout, so a change to how any
+# subcommand formats its artifact shows; "mu.json" is the bernoulli measure
+# written to the working directory
+GOLDEN = [
+    ("b04dc532ef1e81034c2a6d23b4d9aa4a28fbd4746c706d7397dcc45188f876fe",
+     "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
+    ("14f53465b1aeecc6ca817c79caf8cee64962e560c7da4f487e1152a8faa4157d",
+     "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
+     "--points 101"),
+    ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
+     "distance --a arcsine --b semicircle"),
+    ("14e0050bfad4be2f923fb728cfa22f5df43599dc568c8fece6f5fd70d3a5b18a",
+     "distance --a arcsine --b semicircle --metric levy"),
+    ("134420985d00e60a5c14a15936c42507280d4a3e18a20e802eb1888012b36f67",
+     "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
+    ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
+     "distance --a mu.json --b semicircle"),
+    ("8dd124909b9cd110e045945a3561eef3d94a3cd2ea2bd05ea47d9a12c70d5aee",
+     "rates --preset bernoulli --n 4,8 --points 201"),
+    ("6b5bf21c1132ce0aff8c678d6ef5181a8f3aaa20aec0f1f4d325d62634d9f885",
+     "rates --preset bernoulli --n 4,8 --points 201 --weights random "
+     "--metric delta,levy --reps 2 --seed 3"),
+    ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
+     "support --preset bernoulli --n 16 --points 201"),
+    ("bf7109b6a0c265b80a5b73307cf5f347c7393c860ea8ef50a41e979c81864a4e",
+     "support --preset bernoulli --n 16 --points 201 --weights random "
+     "--seed 3"),
+    ("0493f1c7015362cc87b95a27ff6036b8bdf48c9b194e4f2e650e5227cc6c2a09",
+     "residuals --preset bernoulli --n 4 --grid-points 9"),
+    ("c7f511741324ebebf9346fe407f0c4bed563b0a062c4791df76c98a08cd966aa",
+     "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),
+    ("5c69a25250d00f40efdddfc6ebfa56446abf991d0ba1ebba1939ceab83f0bd65",
+     "sphere --n 4 --count 3 --seed 1"),
+    ("a6443a90bb32bf26e5e79cd98ed903db4ab06de40489b62d6b93b5ccef2ff419",
+     "sphere --n 0 --count 0"),
+    ("de32d5ca41dac154e55480addc61873b947761685596dd67dd14c661bfb2031f",
+     "concentration --n 8 --samples 1000 --seed 0"),
+]
+
+
+@pytest.mark.parametrize("digest, cmdline", GOLDEN,
+                         ids=[c for _, c in GOLDEN])
+def test_stdout_bytes_are_pinned(digest, cmdline, tmp_path, monkeypatch,
+                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(Measure.bernoulli().to_json())
+    assert run(cmdline.split() + ["--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_timestamp_is_second_line(capsys):
+    assert run(["sphere", "--n", "4", "--count", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1].startswith("# timestamp: ")
+
+
+def test_branch_cut_failure_is_numerical(capsys):
+    code = run(["convolve", "--preset", "semicircle", "--density",
+                "--eta", "1e-16", "--points", "11"])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--metric", "foo"),
+                                         ("--reps", "0")])
+def test_rates_rejects_bad_metric_and_reps(flag, value, capsys):
+    code = run(["rates", "--preset", "bernoulli", "--n", "4,8",
+                "--points", "201", flag, value])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
