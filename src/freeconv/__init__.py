@@ -5,8 +5,8 @@ central-limit rates, support bounds, and functional-equation residuals.
 
 from .complexfn import cauchy, f_transform, sqrt_cut
 from .cumulants import (CumulantSequence, cumulants_to_moments,
-                        k_transform_series, kargin_bound_check,
-                        measure_cumulants, moments_to_cumulants, phi_theta)
+                        kargin_bound_check, measure_cumulants,
+                        moments_to_cumulants, phi_theta)
 from .errors import (BranchCutError, DegenerateMeasureError, DomainError,
                      FreeconvError, InversionError, IterationError,
                      OutOfDiscError)
@@ -22,9 +22,7 @@ from .measures import (Measure, arcsine_cdf, semicircle_cdf,
                        semicircle_density)
 from .sphere import (WeightVector, concentration_report, marginal_density,
                      sample, sample_matrix, vector_stats)
-from .subordination import (GridSolution, SolveOptions, SubordinationSolution,
-                            g_free, g_free_grid, solve, solve_grid,
-                            weighted_sum_g)
+from .subordination import GridSolution, SolveOptions, solve, solve_grid
 
 __version__ = "0.1.0"
 
@@ -33,15 +31,14 @@ __all__ = [
     "DomainError", "FreeconvError", "FunctionalEqTerms", "GridSolution",
     "GriddedDistribution", "InversionError", "IterationError", "Measure",
     "OutOfDiscError", "RateReport", "RateRow", "SolveOptions",
-    "SubordinationSolution", "SupportReport", "WeightVector",
-    "arcsine_cdf", "bai_integrals", "cauchy", "concentration_report",
-    "cubic_roots", "cumulants_to_moments", "delta_eps", "delta_tilde",
-    "detect_support", "f_transform", "fit_loglog_slope",
-    "functional_residuals", "g_free", "g_free_grid", "k_transform_series",
-    "kargin_bound_check", "kolmogorov", "levy", "marginal_density",
-    "measure_cumulants", "moments_to_cumulants", "nonid_experiment",
-    "phi_theta", "rate_experiment", "recover", "recover_weighted_sum",
-    "sample", "sample_matrix", "semicircle_cdf", "semicircle_density",
-    "solve", "solve_grid", "sqrt_cut", "superconvergence_radius",
-    "support_experiment", "vector_stats", "weighted_sum_g",
+    "SupportReport", "WeightVector", "arcsine_cdf", "bai_integrals", "cauchy",
+    "concentration_report", "cubic_roots", "cumulants_to_moments",
+    "delta_eps", "delta_tilde", "detect_support", "f_transform",
+    "fit_loglog_slope", "functional_residuals", "kargin_bound_check",
+    "kolmogorov", "levy", "marginal_density", "measure_cumulants",
+    "moments_to_cumulants", "nonid_experiment", "phi_theta",
+    "rate_experiment", "recover", "recover_weighted_sum", "sample",
+    "sample_matrix", "semicircle_cdf", "semicircle_density", "solve",
+    "solve_grid", "sqrt_cut", "superconvergence_radius", "support_experiment",
+    "vector_stats",
 ]

@@ -31,7 +31,7 @@ from .inversion import (GriddedDistribution, delta_eps, kolmogorov, levy,
                         recover)
 from .measures import Measure, arcsine_cdf
 from .sphere import concentration_report, sample, vector_stats
-from .subordination import DEFAULT_OPTIONS, SolveOptions, g_free_grid
+from .subordination import DEFAULT_OPTIONS, SolveOptions, solve
 
 _FMT = "%.17g"
 
@@ -110,10 +110,10 @@ def cmd_convolve(args) -> str:
     if window is None:
         window = sum(m.support_radius for m in measures) + 1.0
     if args.density:
-        return recover(lambda zs: g_free_grid(measures, zs, opts),
+        return recover(lambda zs: solve(measures, zs, opts).G,
                        -window, window, points=args.points, eta=args.eta).to_csv()
     zs = np.linspace(-window, window, args.points) + 1j
-    G = g_free_grid(measures, zs, opts)
+    G = solve(measures, zs, opts).G
     return _csv(["re_z", "im_z", "re_g", "im_g"],
                 ((z.real, z.imag, g.real, g.imag) for z, g in zip(zs, G)))
 

@@ -96,15 +96,6 @@ def kargin_bound_check(mu: Measure, order: int) -> list[dict]:
     return report
 
 
-def k_transform_series(mu: Measure, z, order: int = DEFAULT_ORDER) -> complex:
-    """Truncated Laurent series 1/z + sum_{m=1}^{N} kappa_m z^{m-1}.
-
-    This is phi_theta with theta = (1).  Valid inside 0 < |z| < 1/(6L);
-    evaluation outside raises OutOfDiscError.
-    """
-    return phi_theta(mu, [1.0], z, order)
-
-
 def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     """Truncated series of sum_i K_{D_{theta_i} mu}(z) - (n-1)/z.
 

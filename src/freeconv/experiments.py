@@ -24,8 +24,7 @@ from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         delta_eps, delta_tilde, kolmogorov, levy, recover)
 from .measures import Measure
 from .sphere import WeightVector, as_weights, sample, vector_stats
-from .subordination import (DEFAULT_OPTIONS, SolveOptions, _raise_unconverged,
-                            g_free_grid, solve_grid, weighted_sum_g,
+from .subordination import (DEFAULT_OPTIONS, SolveOptions, solve,
                             weighted_summands)
 
 
@@ -56,15 +55,11 @@ def cubic_roots(b: complex, c: complex, d: complex) -> tuple[complex, complex, c
             roots.append(t - b / 3.0)
 
     def polish(w):
-        for _ in range(1):
-            f = ((w + b) * w + c) * w + d
-            fp = (3.0 * w + 2.0 * b) * w + c
-            if fp != 0.0:
-                w = w - f / fp
-        return w
+        f = ((w + b) * w + c) * w + d
+        fp = (3.0 * w + 2.0 * b) * w + c
+        return w - f / fp if fp != 0.0 else w
 
-    r = tuple(polish(w) for w in roots)
-    return r
+    return tuple(polish(w) for w in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +149,7 @@ def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
     stats = {"max_iterations": 0}
 
     def g_eval(zs):
-        sol = solve_grid(measures, zs, opts)
-        _raise_unconverged(zs, sol)
+        sol = solve(measures, zs, opts)
         stats["max_iterations"] = max(stats["max_iterations"],
                                       int(np.max(sol.iterations)))
         return sol.G
@@ -207,10 +201,11 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
             de = delta_eps(dist, ref, eps) if "delta_eps" in metrics else math.nan
             dt = math.nan
             if "delta_tilde" in metrics:
-                g_b = lambda z: complex(cauchy(Measure.semicircle(1.0), z))
-                dt = delta_tilde(lambda z: weighted_sum_g(mu, theta, z, opts),
-                                 g_b, tilde_a, tilde_eps,
-                                 u_points=tilde_u_points)
+                summands = weighted_summands(mu, theta)
+                sc = Measure.semicircle(1.0)
+                dt = delta_tilde(lambda z: solve(summands, z, opts).G,
+                                 lambda z: complex(cauchy(sc, z)), tilde_a,
+                                 tilde_eps, u_points=tilde_u_points)
             rows.append(RateRow(n=n, rep=rep, seed=seed, weight_mode=weight_mode,
                                 delta=d, delta_err=err, delta_eps=de,
                                 delta_tilde=dt, levy=dl,
@@ -264,7 +259,7 @@ def nonid_experiment(measures, eta: float = DEFAULT_ETA,
     ln = sum(m.support_radius**3 for m in measures) / bn**3
     scaled = [m.scale(1.0 / bn) for m in measures]
     R = min(sum(m.support_radius for m in scaled), 3.5) + 1.0
-    dist = recover(lambda zs: g_free_grid(scaled, zs, opts), -R, R,
+    dist = recover(lambda zs: solve(scaled, zs, opts).G, -R, R,
                    points=points, eta=eta)
     ref = _semicircle_smoothed(dist)
     d = kolmogorov(dist, ref)
@@ -407,8 +402,7 @@ def functional_residuals(mu: Measure, theta, z_grid,
     th = th[np.argsort(np.abs(th), kind="stable")]
     measures = weighted_summands(mu, th)
     zs = np.atleast_1d(np.asarray(z_grid, dtype=complex))
-    sol = solve_grid(measures, zs, opts)
-    _raise_unconverged(zs, sol)
+    sol = solve(measures, zs, opts)
     Fs = np.stack([1.0 / cauchy(m, Z) for m, Z in zip(measures, sol.Z)])
     m3 = mu.moment(3)
     t2 = th**2

@@ -144,24 +144,18 @@ class Measure:
     # -- transformations ---------------------------------------------------
 
     def dilate(self, c: float) -> "Measure":
-        """Pushforward under x -> c*x; semicircle variance scales by c^2."""
+        """Pushforward under x -> c*x for c > 0."""
         if c <= 0.0:
             raise DomainError(f"dilation factor must be positive, got {c}")
-        if self.kind == "atomic":
-            return Measure.atomic([c * x for x, _ in self.atoms],
-                                  [w for _, w in self.atoms])
-        return Measure.semicircle(c * c * self.variance_param)
+        return self.scale(c)
 
     def scale(self, c: float) -> "Measure":
-        """Signed dilation x -> c*x; c = 0 collapses to the point mass at 0."""
-        if c > 0.0:
-            return self.dilate(c)
-        if self.kind == "semicircle":
-            if c == 0.0:
-                return Measure.point(0.0)
-            return Measure.semicircle(c * c * self.variance_param)
+        """Signed dilation x -> c*x; semicircle variance scales by c^2, and
+        c = 0 collapses to the point mass at 0."""
         if c == 0.0:
             return Measure.point(0.0)
+        if self.kind == "semicircle":
+            return Measure.semicircle(c * c * self.variance_param)
         return Measure.atomic([c * x for x, _ in self.atoms],
                               [w for _, w in self.atoms])
 

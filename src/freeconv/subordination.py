@@ -45,19 +45,9 @@ DEFAULT_OPTIONS = SolveOptions()
 _ROUNDING = 8.0 * np.finfo(float).eps  # residual floor per unit of its sums
 
 
-@dataclass(frozen=True)
-class SubordinationSolution:
-    z: complex
-    Z: tuple[complex, ...]
-    common_F: complex
-    G: complex
-    iterations: int
-    residual: float
-    converged: bool
-
-
 class GridSolution(NamedTuple):
-    """solve_grid's result: Z of shape (n, m), then one entry per point."""
+    """A solve's result: Z of shape (n, m), then one entry per point (for
+    solve at a scalar z, Z of shape (n,) and Python scalars)."""
     Z: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -188,20 +178,12 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     if np.any(zs.imag <= 0):
         raise DomainError("all evaluation points must satisfy Im z > 0")
 
-    if init is None and n > 1:
-        unique, counts, expand = [], [], []
-        for mu in measures:
-            try:
-                k = unique.index(mu)
-            except ValueError:
-                k = len(unique)
-                unique.append(mu)
-                counts.append(0)
-            counts[k] += 1
-            expand.append(k)
-        if len(unique) < n:
-            Z0 = np.tile(zs, (len(unique), 1))
-            sol = _iterate(unique, counts, n, zs, opts, Z0)
+    if init is None:
+        index = {}  # first-occurrence order; Measure is frozen, so hashable
+        expand = [index.setdefault(mu, len(index)) for mu in measures]
+        if len(index) < n:
+            Z0 = np.tile(zs, (len(index), 1))
+            sol = _iterate(list(index), np.bincount(expand), n, zs, opts, Z0)
             return sol._replace(Z=sol.Z[expand])
 
     Z0 = np.tile(zs, (n, 1)) if init is None else np.array(init, dtype=complex)
@@ -210,62 +192,35 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     return _iterate(measures, [1] * n, n, zs, opts, Z0)
 
 
-def _raise_unconverged(zs, sol: GridSolution) -> None:
-    """Raise IterationError naming the first point of a solve_grid result
-    that did not converge; return if every point did."""
-    if np.all(sol.converged):
-        return
-    bad = int(np.argmax(~sol.converged))
-    res, iters = float(sol.residual[bad]), int(sol.iterations[bad])
-    raise IterationError(
-        f"subordination failed to converge at z={complex(zs[bad])} (index {bad}): "
-        f"residual {res:.3e} after {iters} iterations",
-        residual=res, iterations=iters)
-
-
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
-          init=None) -> SubordinationSolution:
-    """Solve the subordination system at a single point z in C+.
+          init=None) -> GridSolution:
+    """Solve the system at a point or an array of points; the checked
+    solve_grid.
 
-    ``init`` may carry the Z vector of a neighbouring solution (warm start);
-    results agree with cold starts to within the solver tolerance.
-    Raises IterationError on non-convergence, carrying the last residual.
+    Raises IterationError naming the first unconverged point, its index and
+    its last residual.  For a scalar z, ``init`` is the Z vector of a
+    neighbouring solution (warm start) and the result holds that point's
+    entries: Z of shape (n,), the other fields Python scalars.
     """
-    z = complex(z)
-    init_arr = None
-    if init is not None:
-        init_arr = np.asarray(init, dtype=complex).reshape(len(list(measures)), 1)
-    sol = solve_grid(measures, [z], opts, init=init_arr)
-    _raise_unconverged([z], sol)
-    return SubordinationSolution(
-        z=z,
-        Z=tuple(complex(v) for v in sol.Z[:, 0]),
-        common_F=complex(sol.F[0]),
-        G=complex(sol.G[0]),
-        iterations=int(sol.iterations[0]),
-        residual=float(sol.residual[0]),
-        converged=True,
-    )
-
-
-def g_free(measures, z, opts: SolveOptions = DEFAULT_OPTIONS) -> complex:
-    """Cauchy transform of nu_1 ++ ... ++ nu_n at z (via the common F value)."""
-    return solve(measures, z, opts).G
-
-
-def g_free_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS):
-    """Vectorized g_free over an array of points; raises if any point fails."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    sol = solve_grid(measures, zs, opts)
-    _raise_unconverged(zs, sol)
-    return sol.G
+    measures = list(measures)
+    scalar = np.ndim(z) == 0
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if scalar and init is not None:
+        init = np.asarray(init, dtype=complex).reshape(len(measures), 1)
+    sol = solve_grid(measures, zs, opts, init)
+    if not np.all(sol.converged):
+        bad = int(np.argmax(~sol.converged))
+        res, iters = float(sol.residual[bad]), int(sol.iterations[bad])
+        raise IterationError(
+            f"subordination failed to converge at z={complex(zs[bad])} (index {bad}): "
+            f"residual {res:.3e} after {iters} iterations",
+            residual=res, iterations=iters)
+    if not scalar:
+        return sol
+    return GridSolution(sol.Z[:, 0], *(a[0].item() for a in sol[1:]))
 
 
 def weighted_summands(mu: Measure, theta) -> list[Measure]:
     """The summands D_{theta_i} mu of the weighted free sum sum_i theta_i X_i."""
     return [mu.scale(float(t)) for t in as_weights(theta)]
 
-
-def weighted_sum_g(mu: Measure, theta, z, opts: SolveOptions = DEFAULT_OPTIONS) -> complex:
-    """Cauchy transform of the weighted free sum sum_i theta_i X_i at z."""
-    return g_free(weighted_summands(mu, theta), z, opts)

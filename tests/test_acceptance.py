@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from freeconv.complexfn import cauchy
-from freeconv.cumulants import (cumulants_to_moments, k_transform_series,
-                                kargin_bound_check, moments_to_cumulants,
-                                phi_theta)
+from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
+                                moments_to_cumulants, phi_theta)
 from freeconv.experiments import (functional_residuals, rate_experiment,
                                   rate_report_csv, support_experiment)
 from freeconv.inversion import (DEFAULT_POINTS, delta_eps, kolmogorov, levy,
@@ -25,7 +24,7 @@ from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
 from freeconv.sphere import (WeightVector, concentration_report,
                              marginal_chi2_pvalue, sample, sample_matrix)
-from freeconv.subordination import g_free_grid
+from freeconv.subordination import solve
 
 from oracles import binomial_convolution_g, moments_from_cumulants_nc
 
@@ -125,7 +124,7 @@ def test_criterion_01_binomial_oracle(capsys):
     for p, schedule in ((0.5, (2, 8, 32)), (0.25, (4, 16))):
         for n in schedule:
             mu = Measure.binomial(p).scale(1.0 / math.sqrt(n))
-            G = g_free_grid([mu] * n, zs)
+            G = solve([mu] * n, zs).G
             worst = max(worst, float(np.max(np.abs(G - binomial_convolution_g(p, n, zs)))))
     _report(capsys, 1, "binomial closed-form oracle", worst <= 1e-8,
             "max err %.2e" % worst)
@@ -133,7 +132,7 @@ def test_criterion_01_binomial_oracle(capsys):
 
 def test_criterion_02_semicircle_stability(capsys):
     zs = np.linspace(-3, 3, 100) + 1j * np.linspace(0.05, 3, 100)
-    G = g_free_grid([Measure.semicircle(0.5), Measure.semicircle(0.5)], zs)
+    G = solve([Measure.semicircle(0.5), Measure.semicircle(0.5)], zs).G
     err = float(np.max(np.abs(G - cauchy(Measure.semicircle(1.0), zs))))
     _report(capsys, 2, "semicircle self-convolution", err <= 1e-10,
             "max err %.2e" % err)
@@ -262,7 +261,7 @@ def test_criterion_10_cumulant_suite(capsys):
         for _ in range(25):
             w = rng.normal() - 1j * (0.1 + abs(rng.normal()))
             z = complex(w * (0.1 + 0.89 * rng.random()) / (abs(w) * 10.0 * L))
-            K = k_transform_series(mu, z, order=40)
+            K = phi_theta(mu, [1.0], z, order=40)
             worst_gk = max(worst_gk, abs(complex(cauchy(mu, np.array([K]))[0]) - z))
     ok = ok and worst_gk <= 1e-8
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.cumulants import (cumulants_to_moments, k_transform_series,
-                                kargin_bound_check, measure_cumulants,
-                                moments_to_cumulants, phi_theta)
+from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
+                                measure_cumulants, moments_to_cumulants,
+                                phi_theta)
 from freeconv.errors import OutOfDiscError
 from freeconv.measures import Measure
 
@@ -77,7 +77,7 @@ def test_k_series_inverts_cauchy():
             # K maps the lower half-disc into C+, where cauchy is defined
             w = rng.normal() - 1j * (0.1 + abs(rng.normal()))
             z = complex(w * (0.1 + 0.89 * rng.random()) / (abs(w) * 10.0 * L))
-            K = k_transform_series(mu, z, order=40)
+            K = phi_theta(mu, [1.0], z, order=40)
             g = complex(cauchy(mu, np.array([K]))[0])
             assert abs(g - z) < 1e-8
 
@@ -85,7 +85,7 @@ def test_k_series_inverts_cauchy():
 def test_k_series_outside_disc_raises():
     mu = Measure.bernoulli()
     with pytest.raises(OutOfDiscError):
-        k_transform_series(mu, 0.5 + 0.0j)
+        phi_theta(mu, [1.0], 0.5 + 0.0j)
 
 
 def test_phi_theta_near_identity_bound():

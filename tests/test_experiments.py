@@ -13,7 +13,7 @@ from freeconv.experiments import (cubic_roots, detect_support,
 from freeconv.inversion import delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
-from freeconv.subordination import weighted_sum_g
+from freeconv.subordination import solve, weighted_summands
 
 
 def test_cubic_roots_reconstruct_polynomial():
@@ -149,7 +149,7 @@ def test_rate_experiment_delta_tilde():
     sc = Measure.semicircle(1.0)
     for r in rep.rows:
         ref = delta_tilde(
-            lambda z: weighted_sum_g(mu, WeightVector.uniform(r.n), z),
+            lambda z: solve(weighted_summands(mu, WeightVector.uniform(r.n)), z).G,
             lambda z: complex(cauchy(sc, z)), 0.05, 0.2, u_points=5)
         assert math.isfinite(r.delta_tilde)
         assert r.delta_tilde == ref

@@ -9,7 +9,7 @@ from freeconv.inversion import (GriddedDistribution, bai_integrals, delta_eps,
                                 delta_tilde, kolmogorov, levy, recover)
 from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
-from freeconv.subordination import g_free
+from freeconv.subordination import solve
 
 
 def semicircle_g(zs):
@@ -137,7 +137,7 @@ def test_delta_tilde_raises_when_quadrature_misses_tolerance():
 
 @pytest.mark.parametrize("g1", [
     lambda z: complex(cauchy(Measure.semicircle(1.0), np.array([z]))[0]),
-    lambda z: g_free([Measure.semicircle(0.5), Measure.semicircle(0.5)], z),
+    lambda z: solve([Measure.semicircle(0.5), Measure.semicircle(0.5)], z).G,
 ], ids=["closed-form", "solver"])
 def test_bai_line_integral_semicircle_pair(g1):
     """semicircle(1) vs semicircle(1.3) along the whole line Im z = 1.  The

@@ -6,8 +6,8 @@ from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector
-from freeconv.subordination import (SolveOptions, g_free, g_free_grid, solve,
-                                    solve_grid, weighted_sum_g)
+from freeconv.subordination import (SolveOptions, solve, solve_grid,
+                                    weighted_summands)
 
 from oracles import binomial_convolution_g
 
@@ -24,7 +24,7 @@ def test_semicircle_halves_combine():
     """Two semicircles of variance 1/2 convolve to the unit semicircle."""
     halves = [Measure.semicircle(0.5), Measure.semicircle(0.5)]
     zs = np.linspace(-3, 3, 50) + 1j * np.linspace(0.05, 3, 50)
-    G = g_free_grid(halves, zs)
+    G = solve(halves, zs).G
     ref = cauchy(Measure.semicircle(1.0), zs)
     assert np.max(np.abs(G - ref)) < 1e-10
 
@@ -33,7 +33,7 @@ def test_bernoulli_pair_gives_arcsine_transform():
     from freeconv.complexfn import sqrt_cut
     b = Measure.bernoulli()
     zs = np.linspace(-4, 4, 80) + 0.3j
-    G = g_free_grid([b, b], zs)
+    G = solve([b, b], zs).G
     assert np.max(np.abs(G - 1.0 / sqrt_cut(zs * zs - 4.0))) < 1e-10
 
 
@@ -41,7 +41,7 @@ def test_bernoulli_pair_gives_arcsine_transform():
 def test_binomial_closed_form(p, n):
     mu = Measure.binomial(p).scale(1.0 / np.sqrt(n))
     zs = np.linspace(-3, 3, 60) + 1j
-    G = g_free_grid([mu] * n, zs)
+    G = solve([mu] * n, zs).G
     assert np.max(np.abs(G - binomial_convolution_g(p, n, zs))) < 1e-10
 
 
@@ -53,7 +53,7 @@ def test_imaginary_parts_ordered():
         z = complex(rng.normal(), 0.05 + abs(rng.normal()))
         sol = solve(ms, z)
         assert all(w.imag >= z.imag - 1e-10 for w in sol.Z)
-        assert sol.common_F.imag >= z.imag - 1e-10
+        assert sol.F.imag >= z.imag - 1e-10
         assert sol.G.imag < 0
 
 
@@ -78,15 +78,34 @@ def test_warm_start_matches_cold_start():
 
 def test_duplicate_collapse_matches_full_system():
     """The multiplicity-collapsed path must agree with an explicit solve
-    forced through the general path via a warm start."""
+    forced through the general path via a warm start, also when repeats
+    interleave with other summands; rows of equal measures are bit-equal."""
     mu = Measure.binomial(0.25).scale(0.5)
+    b = Measure.bernoulli().scale(-0.4)
+    s = Measure.semicircle(0.3)
     zs = np.array([0.3 + 0.5j, -1.2 + 0.2j])
-    Zc, Fc, Gc, _, _, conv = solve_grid([mu] * 4, zs)
-    init = np.tile(zs, (4, 1))
-    Zf, Ff, Gf, _, _, conv2 = solve_grid([mu] * 4, zs, init=init)
-    assert np.all(conv) and np.all(conv2)
-    assert np.max(np.abs(Gc - Gf)) < 1e-9
-    assert np.max(np.abs(Zc - Zf)) < 1e-9
+    for ms in ([mu] * 4, [mu, b, mu, s, b, mu]):
+        Zc, Fc, Gc, _, _, conv = solve_grid(ms, zs)
+        init = np.tile(zs, (len(ms), 1))
+        Zf, Ff, Gf, _, _, conv2 = solve_grid(ms, zs, init=init)
+        assert np.all(conv) and np.all(conv2)
+        assert np.max(np.abs(Gc - Gf)) < 1e-9
+        assert np.max(np.abs(Zc - Zf)) < 1e-9
+        for i, m in enumerate(ms):
+            assert np.array_equal(Zc[i], Zc[ms.index(m)])
+
+
+def test_scalar_solve_is_column_zero_of_grid_solve():
+    ms = [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64),
+          Measure.bernoulli().scale(0.6)]
+    z = 0.35 + 0.07j
+    point, grid = solve(ms, z), solve(ms, [z])
+    assert type(point.G) is complex and type(point.F) is complex
+    assert type(point.iterations) is int and point.converged is True
+    assert point.Z.shape == (3,)
+    assert np.array_equal(point.Z, grid.Z[:, 0])
+    for name in ("F", "G", "residual", "iterations", "converged"):
+        assert getattr(point, name) == getattr(grid, name)[0]
 
 
 def test_reciprocal_subordination_relation():
@@ -98,7 +117,7 @@ def test_reciprocal_subordination_relation():
     ms = [Measure.bernoulli().scale(float(t)) for t in th]
     z = 0.9 + 0.6j
     sol = solve(ms, z)
-    F = sol.common_F
+    F = sol.F
     for i, m in enumerate(ms):
         Fi = 1.0 / complex(cauchy(m, np.array([sol.Z[i]]))[0])
         assert Fi == pytest.approx(F, abs=1e-9)
@@ -124,6 +143,18 @@ def test_iteration_failure_carries_residual():
     assert exc.value.residual > 0
 
 
+def test_grid_solve_failure_names_point_and_index():
+    """On an array, solve raises at the first unconverged point."""
+    ms = [Measure.bernoulli()] * 16
+    zs = np.array([3.0 + 2.0j, 0.01 + 1e-7j, 0.02 + 1e-7j])
+    opts = SolveOptions(tol=1e-15, max_iters=5)
+    conv = solve_grid(ms, zs, opts).converged
+    assert conv[0] and not conv[1]
+    with pytest.raises(IterationError, match=r"z=\(0\.01\+1e-07j\) \(index 1\)") as exc:
+        solve(ms, zs, opts)
+    assert exc.value.residual > 0
+
+
 def test_weighted_sum_g_uses_signed_weights():
     """Negative weights reflect the law; for an asymmetric base measure the
     result differs from using |theta|.  A WeightVector gives the same G as
@@ -131,10 +162,11 @@ def test_weighted_sum_g_uses_signed_weights():
     mu = Measure.binomial(0.2)
     th = np.array([0.8, -0.6])
     z = 0.5 + 1.0j
-    g_signed = weighted_sum_g(mu, th, z)
-    g_abs = weighted_sum_g(mu, np.abs(th), z)
+    g = lambda theta: solve(weighted_summands(mu, theta), z).G
+    g_signed = g(th)
+    g_abs = g(np.abs(th))
     assert abs(g_signed - g_abs) > 1e-4
-    assert weighted_sum_g(mu, WeightVector(th), z) == g_signed
+    assert g(WeightVector(th)) == g_signed
 
 
 def test_solve_options_validation():
