@@ -4,9 +4,8 @@ central-limit rates, support bounds, and functional-equation residuals.
 """
 
 from .complexfn import cauchy, f_transform, sqrt_cut
-from .cumulants import (CumulantSequence, cumulants_to_moments,
-                        kargin_bound_check, measure_cumulants,
-                        moments_to_cumulants, phi_theta)
+from .cumulants import (cumulants_to_moments, kargin_bound_check,
+                        measure_cumulants, moments_to_cumulants, phi_theta)
 from .errors import (BranchCutError, DegenerateMeasureError, DomainError,
                      FreeconvError, InversionError, IterationError,
                      OutOfDiscError)
@@ -27,8 +26,8 @@ from .subordination import GridSolution, SolveOptions, solve, solve_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCutError", "CumulantSequence", "DegenerateMeasureError",
-    "DomainError", "FreeconvError", "FunctionalEqTerms", "GridSolution",
+    "BranchCutError", "DegenerateMeasureError", "DomainError",
+    "FreeconvError", "FunctionalEqTerms", "GridSolution",
     "GriddedDistribution", "InversionError", "IterationError", "Measure",
     "OutOfDiscError", "RateReport", "RateRow", "SolveOptions",
     "SupportReport", "WeightVector", "arcsine_cdf", "bai_integrals", "cauchy",

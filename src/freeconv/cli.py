@@ -11,8 +11,6 @@ byte-reproducible artifacts.  Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -27,13 +25,11 @@ from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
 from .experiments import (_weights_for, functional_residuals, rate_experiment,
                           rate_report_csv, support_experiment)
-from .inversion import (GriddedDistribution, delta_eps, kolmogorov, levy,
-                        recover)
+from .inversion import (GriddedDistribution, csv_table, delta_eps, kolmogorov,
+                        levy, recover)
 from .measures import Measure, arcsine_cdf
 from .sphere import concentration_report, sample, vector_stats
 from .subordination import DEFAULT_OPTIONS, SolveOptions, solve
-
-_FMT = "%.17g"
 
 CONFIG_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 
@@ -79,16 +75,6 @@ def _artifact(args, result: str | dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header, rows) -> str:
-    """CSV text with floats printed as %.17g."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([_FMT % v if isinstance(v, float) else v for v in row]
-                for row in rows)
-    return buf.getvalue()
-
-
 def _solver_opts(args) -> SolveOptions:
     """The library's default options with each solver flag given on the
     command line in place of its field."""
@@ -114,8 +100,8 @@ def cmd_convolve(args) -> str:
                        -window, window, points=args.points, eta=args.eta).to_csv()
     zs = np.linspace(-window, window, args.points) + 1j
     G = solve(measures, zs, opts).G
-    return _csv(["re_z", "im_z", "re_g", "im_g"],
-                ((z.real, z.imag, g.real, g.imag) for z, g in zip(zs, G)))
+    return csv_table(["re_z", "im_z", "re_g", "im_g"],
+                     ((z.real, z.imag, g.real, g.imag) for z, g in zip(zs, G)))
 
 
 def _distribution(spec: str):
@@ -148,7 +134,7 @@ def cmd_rates(args) -> str:
                              reps=args.reps, seed=args.seed, eps=args.eps,
                              eta=args.eta, points=args.points,
                              opts=_solver_opts(args))
-    slopes = "".join(f"# slope[{name}]={_FMT % slope} r2={_FMT % r2}\n"
+    slopes = "".join(f"# slope[{name}]={slope:.17g} r2={r2:.17g}\n"
                      for name, (slope, r2) in sorted(report.slopes.items()))
     return slopes + rate_report_csv(report)
 
@@ -170,22 +156,23 @@ def cmd_residuals(args) -> str:
     im = np.linspace(args.im_min, args.im_max, side)
     zs = (re[None, :] + 1j * im[:, None]).ravel()
     terms = functional_residuals(mu, theta, zs, opts=_solver_opts(args))
-    return _csv(["re_z", "im_z", "residual_p", "residual_q", "vieta_sum_err",
-                 "vieta_prod_err", "matched_root_p", "matched_root_q",
-                 "match_dist_p", "match_dist_q"],
-                ((t.z.real, t.z.imag, t.residual_p, t.residual_q,
-                  t.vieta_sum_err, t.vieta_prod_err, t.matched_root_p,
-                  t.matched_root_q, t.match_dist_p, t.match_dist_q)
-                 for t in terms))
+    return csv_table(["re_z", "im_z", "residual_p", "residual_q",
+                      "vieta_sum_err", "vieta_prod_err", "matched_root_p",
+                      "matched_root_q", "match_dist_p", "match_dist_q"],
+                     ((t.z.real, t.z.imag, t.residual_p, t.residual_q,
+                       t.vieta_sum_err, t.vieta_prod_err, t.matched_root_p,
+                       t.matched_root_q, t.match_dist_p, t.match_dist_q)
+                      for t in terms))
 
 
 def cmd_sphere(args) -> str:
     # with no rows, nothing is drawn and n is not checked
     thetas = sample(args.n, args.seed, np.arange(args.count)) if args.count > 0 else []
     stats = map(vector_stats, thetas)
-    return _csv(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"],
-                ((i, st["max_abs"], st["sum_abs_pow"][3], st["sum_abs_pow"][4],
-                  st["sum_cubes"]) for i, st in enumerate(stats)))
+    return csv_table(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"],
+                     ((i, st["max_abs"], st["sum_abs_pow"][3],
+                       st["sum_abs_pow"][4], st["sum_cubes"])
+                      for i, st in enumerate(stats)))
 
 
 def cmd_concentration(args) -> dict:

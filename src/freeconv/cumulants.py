@@ -14,8 +14,6 @@ oracle only (see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, OutOfDiscError
@@ -46,35 +44,27 @@ def _free_relation(m: np.ndarray, kappa: np.ndarray, moments_known: bool) -> Non
         P[1:, n] = np.cumsum(P[:-1, n - 1::-1] @ m[1:n + 1])
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
-    """Free cumulants kappa_1..kappa_N."""
-
-    kappa: tuple[float, ...]
-
-
-def moments_to_cumulants(moments) -> CumulantSequence:
+def moments_to_cumulants(moments) -> tuple[float, ...]:
     """Invert the free moment-cumulant recursion; exact at working precision."""
     m = np.concatenate([[1.0], np.asarray(moments, dtype=float)])
     if m.size < 2:
         raise DomainError("need at least one moment")
     kappa = np.zeros_like(m)
     _free_relation(m, kappa, moments_known=True)
-    return CumulantSequence(kappa=tuple(kappa[1:].tolist()))
+    return tuple(kappa[1:].tolist())
 
 
-def cumulants_to_moments(seq: CumulantSequence | tuple | list) -> list[float]:
+def cumulants_to_moments(seq) -> list[float]:
     """Forward free moment-cumulant recursion (exact inverse of the above)."""
-    kappa = np.concatenate([[0.0], np.asarray(
-        seq.kappa if isinstance(seq, CumulantSequence) else seq, dtype=float)])
+    kappa = np.concatenate([[0.0], np.asarray(seq, dtype=float)])
     m = np.zeros_like(kappa)
     m[0] = 1.0
     _free_relation(m, kappa, moments_known=False)
     return m[1:].tolist()
 
 
-def measure_cumulants(mu: Measure, order: int) -> CumulantSequence:
-    """Free cumulants of a measure, from its exact moments."""
+def measure_cumulants(mu: Measure, order: int) -> tuple[float, ...]:
+    """Free cumulants kappa_1..kappa_N of a measure, from its exact moments."""
     moments = [mu.moment(k) for k in range(1, order + 1)]
     return moments_to_cumulants(moments)
 
@@ -85,12 +75,12 @@ def kargin_bound_check(mu: Measure, order: int) -> list[dict]:
     Returns one record per m with the computed cumulant, the bound and a
     pass flag; all records pass for valid compactly supported measures.
     """
-    seq = measure_cumulants(mu, order)
+    kappa = measure_cumulants(mu, order)
     L = mu.support_radius
     report = []
     for m in range(2, order + 1):
         bound = (2.0 * L / (m - 1)) * (4.0 * L) ** (m - 1)
-        value = seq.kappa[m - 1]
+        value = kappa[m - 1]
         report.append({"m": m, "kappa": value, "bound": bound,
                        "pass": abs(value) <= bound * (1.0 + 1e-12) + 1e-12})
     return report
@@ -109,10 +99,10 @@ def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     tmax = float(np.max(np.abs(th)))
     if abs(z) == 0.0 or (L > 0.0 and tmax > 0.0 and abs(z) >= 1.0 / (6.0 * L * tmax)):
         raise OutOfDiscError("phi_theta requires 0 < |z| < 1/(6 L max|theta_i|)")
-    seq = measure_cumulants(mu, order)
+    kappa = measure_cumulants(mu, order)
     acc = 1.0 / z
     zp = 1.0 + 0j
     for m in range(1, order + 1):
-        acc += seq.kappa[m - 1] * float(np.sum(th**m)) * zp
+        acc += kappa[m - 1] * float(np.sum(th**m)) * zp
         zp *= z
     return acc

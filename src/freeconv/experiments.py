@@ -10,8 +10,6 @@ and the term assembly.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +19,8 @@ import numpy as np
 from .complexfn import cauchy, sqrt_cut
 from .errors import BranchCutError, DomainError
 from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
-                        delta_eps, delta_tilde, kolmogorov, levy, recover)
+                        csv_table, delta_eps, delta_tilde, kolmogorov, levy,
+                        recover)
 from .measures import Measure
 from .sphere import WeightVector, as_weights, sample, vector_stats
 from .subordination import (DEFAULT_OPTIONS, SolveOptions, solve,
@@ -210,7 +209,6 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                                 delta=d, delta_err=err, delta_eps=de,
                                 delta_tilde=dt, levy=dl,
                                 max_iterations=stats["max_iterations"]))
-    rows.sort(key=lambda r: (r.n, r.rep))
     slopes = {}
     for name in metrics:
         vals = [getattr(r, name) for r in rows]
@@ -223,21 +221,20 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
 
 
 def rate_report_csv(report: RateReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "rep", "seed", "weight_mode", "delta", "delta_err",
-                "delta_eps", "delta_tilde", "levy", "slope_running"])
-    for i, r in enumerate(report.rows):
-        head = report.rows[: i + 1]
+    """The rows as a table, with the running log-log slope of delta."""
+    def running_slope(head):
         try:
-            slope, _ = fit_loglog_slope([q.n for q in head], [q.delta for q in head],
-                                        [q.delta_err for q in head])
+            return fit_loglog_slope([q.n for q in head], [q.delta for q in head],
+                                    [q.delta_err for q in head])[0]
         except DomainError:
-            slope = math.nan
-        w.writerow([r.n, r.rep, r.seed, r.weight_mode,
-                    f"{r.delta:.17g}", f"{r.delta_err:.17g}", f"{r.delta_eps:.17g}",
-                    f"{r.delta_tilde:.17g}", f"{r.levy:.17g}", f"{slope:.17g}"])
-    return buf.getvalue()
+            return math.nan
+
+    return csv_table(["n", "rep", "seed", "weight_mode", "delta", "delta_err",
+                      "delta_eps", "delta_tilde", "levy", "slope_running"],
+                     ((r.n, r.rep, r.seed, r.weight_mode, r.delta, r.delta_err,
+                       r.delta_eps, r.delta_tilde, r.levy,
+                       running_slope(report.rows[:i + 1]))
+                      for i, r in enumerate(report.rows)))
 
 
 def nonid_experiment(measures, eta: float = DEFAULT_ETA,
@@ -298,20 +295,23 @@ def superconvergence_radius(mu: Measure, theta) -> float:
             + 3.0 * abs(mu.moment(3) * float(np.sum(th**3))))
 
 
-def detect_support(dist: GriddedDistribution, threshold: float,
-                   core_level: float = 1e-3) -> tuple[float, float]:
+_CORE_LEVEL = 1e-3  # density level that marks detect_support's core
+
+
+def detect_support(dist: GriddedDistribution,
+                   threshold: float) -> tuple[float, float]:
     """Smallest interval outside which the density stays below threshold
     plus a Cauchy-tail allowance.
 
     The allowance at x is eta/(pi d^2) with d the distance to a coarse core
-    (density >= core_level); it dominates the genuine smoothing tail of any
+    (density >= _CORE_LEVEL); it dominates the genuine smoothing tail of any
     probability measure contained in the core, so points flagged outside
     carry no support mass beyond the threshold.
     """
     grid, dens, eta = dist.grid, dist.density, dist.eta
-    core = grid[dens >= core_level]
+    core = grid[dens >= _CORE_LEVEL]
     if core.size == 0:
-        raise DomainError("no density core found; lower core_level")
+        raise DomainError(f"no density core found (density below {_CORE_LEVEL:g})")
     a0, b0 = float(core[0]), float(core[-1])
     d = np.maximum(np.maximum(a0 - grid, grid - b0), 0.0)
     with np.errstate(divide="ignore"):

@@ -31,6 +31,17 @@ _NEG_DENSITY_TOL = -1e-12
 _QUAD_TOL = 1e-9
 
 
+def csv_table(header, rows) -> str:
+    """The one table format: CSV text with floats, numpy floats included,
+    printed as %.17g and every other value as is."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
+                for row in rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class GriddedDistribution:
     grid: np.ndarray
@@ -52,13 +63,9 @@ class GriddedDistribution:
         return np.interp(x, self.grid, self.cdf)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# eta={self.eta:.17g} tail_mass={self.tail_mass:.17g}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "density", "cdf"])
-        for x, d, c in zip(self.grid, self.density, self.cdf):
-            w.writerow([f"{x:.17g}", f"{d:.17g}", f"{c:.17g}"])
-        return buf.getvalue()
+        return (f"# eta={self.eta:.17g} tail_mass={self.tail_mass:.17g}\n"
+                + csv_table(["x", "density", "cdf"],
+                            zip(self.grid, self.density, self.cdf)))
 
     @staticmethod
     def from_csv(text: str) -> "GriddedDistribution":

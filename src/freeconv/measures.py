@@ -28,38 +28,51 @@ class Measure:
     """Tagged probability measure: atomic (finite support) or semicircle.
 
     Atomic measures carry ``atoms`` as a tuple of (position, weight) pairs
-    sorted by position.  Semicircle measures carry only their variance.
+    sorted by position, semicircle measures only their variance; every
+    construction, a bare ``Measure(...)`` too, validates the fields.
     """
 
     kind: str
     atoms: tuple[tuple[float, float], ...] = field(default=())
     variance_param: float = 0.0
 
+    def __post_init__(self):
+        atoms, ok = self.atoms, type(self.atoms) is tuple
+        if self.kind == "semicircle":
+            ok = ok and not atoms and 0.0 < self.variance_param < math.inf
+        else:
+            ok = (ok and self.kind == "atomic" and self.variance_param == 0.0
+                  and len(atoms) > 0)
+            prev, total = -math.inf, 0.0
+            for a in atoms if ok else ():
+                if not (type(a) is tuple and len(a) == 2
+                        and prev < a[0] < math.inf and 0.0 < a[1] < math.inf):
+                    ok = False
+                    break
+                prev = a[0]
+                total += a[1]
+            ok = ok and abs(total - 1.0) <= _WEIGHT_SUM_TOL
+        if not ok:
+            raise DomainError(f"invalid measure: kind={self.kind!r}, atoms={atoms!r}, "
+                              f"variance_param={self.variance_param!r}")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def atomic(positions, weights) -> "Measure":
         pairs = sorted(zip(map(float, positions), map(float, weights)))
-        merged: list[list[float]] = []
+        merged: list[tuple[float, float]] = []
         for x, w in pairs:
             if not 0.0 < w < math.inf:
                 raise DomainError(f"atom weight must be positive and finite, got {w}")
-            if not math.isfinite(x):
-                raise DomainError(f"atom position must be finite, got {x}")
             if merged and x == merged[-1][0]:
-                merged[-1][1] += w
-            else:
-                merged.append([x, w])
-        total = sum(w for _, w in merged)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise DomainError(f"atom weights must sum to 1, got {total!r}")
-        return Measure(kind="atomic", atoms=tuple((x, w) for x, w in merged))
+                x, w0 = merged.pop()  # keeps the first x: 0.0 == -0.0
+                w += w0
+            merged.append((x, w))
+        return Measure(kind="atomic", atoms=tuple(merged))
 
     @staticmethod
     def semicircle(variance: float) -> "Measure":
-        if not 0.0 < variance < math.inf:
-            raise DomainError(f"semicircle variance must be positive and finite, "
-                              f"got {variance}")
         return Measure(kind="semicircle", variance_param=float(variance))
 
     @staticmethod
@@ -115,9 +128,7 @@ class Measure:
 
     @property
     def mean(self) -> float:
-        if self.kind == "atomic":
-            return self.moment(1)
-        return 0.0
+        return self.moment(1)
 
     @property
     def var(self) -> float:
@@ -176,19 +187,15 @@ class Measure:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "atomic":
-            return {
-                "kind": "atomic",
-                "atoms": [{"x": x, "w": w} for x, w in self.atoms],
-            }
-        return {"kind": "semicircle", "variance": self.variance_param}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        if self.kind == "atomic":
+            return json.dumps({"kind": "atomic",
+                               "atoms": [{"x": x, "w": w} for x, w in self.atoms]})
+        return json.dumps({"kind": "semicircle", "variance": self.variance_param})
 
     @staticmethod
-    def from_json_dict(d: dict) -> "Measure":
+    def from_json(s: str) -> "Measure":
+        d = json.loads(s)
         kind = d.get("kind")
         if kind == "atomic":
             atoms = d["atoms"]
@@ -196,10 +203,6 @@ class Measure:
         if kind == "semicircle":
             return Measure.semicircle(d["variance"])
         raise DomainError(f"unknown measure kind {kind!r}")
-
-    @staticmethod
-    def from_json(s: str) -> "Measure":
-        return Measure.from_json_dict(json.loads(s))
 
     @staticmethod
     def from_preset(name: str) -> "Measure":

@@ -187,13 +187,16 @@ def marginal_density(n: int, x):
     return cn * np.maximum(1.0 - x * x / n, 0.0) ** ((n - 3) / 2.0)
 
 
-def marginal_chi2_pvalue(n: int, samples: np.ndarray, bins: int = 40) -> float:
+_CHI2_BINS = 40  # equal-width bins over [-min(sqrt(n), 6), min(sqrt(n), 6)]
+
+
+def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
-    edges = np.linspace(-lim, lim, bins + 1)
+    edges = np.linspace(-lim, lim, _CHI2_BINS + 1)
     counts, _ = np.histogram(x, bins=edges)
-    fine = np.linspace(edges[0], edges[-1], bins * 50 + 1)
+    fine = np.linspace(edges[0], edges[-1], _CHI2_BINS * 50 + 1)
     dens = marginal_density(n, fine)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))])
     probs = np.interp(edges, fine, cdf)
@@ -258,11 +261,10 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     report["checks"].append(entry("max_coordinate", freq, 8.0 / (A * math.sqrt(2 * math.pi)) / n))
 
     for k, bk in ((3, 33.0), (4, 121.0)):
-        r = 1.0
-        thresh = bk * r / n ** ((k - 2) / 2.0)
+        thresh = bk / n ** ((k - 2) / 2.0)
         freq = float(np.mean(abs_pow[k] >= thresh))
         report["checks"].append(entry(f"power_sum_k{k}", freq,
-                                      math.exp(-((r * n) ** (2.0 / k)))))
+                                      math.exp(-(n ** (2.0 / k)))))
 
     thresh = 10.0 / (math.sqrt(n) * math.log(n))
     freq = float(np.mean(np.abs(cubes) >= thresh))

@@ -101,16 +101,17 @@ def _make_evaluator(measures):
     return evaluate
 
 
-def _iterate(measures, counts, n, zs, opts: SolveOptions, Z):
+def _iterate(measures, counts, zs, opts: SolveOptions, Z):
     """Newton on a (k, m) coordinate block, one point per column.
 
-    counts[k] is the multiplicity of measures[k] among the n system
-    coordinates.  Converged grid points leave the working set, so late
+    counts[k] is the multiplicity of measures[k] among the n = sum(counts)
+    system coordinates.  Converged grid points leave the working set, so late
     steps only touch the stragglers.  Block temporaries are updated in
     place: with hundreds of coordinates each (k, m) array is tens of MiB.
     """
     m = zs.shape[0]
     c = np.asarray(counts, dtype=float)
+    n = int(np.sum(counts))
     evaluate = _make_evaluator(measures)
     F0 = np.empty(m, dtype=complex)
     res = np.empty(m)
@@ -183,13 +184,13 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
         expand = [index.setdefault(mu, len(index)) for mu in measures]
         if len(index) < n:
             Z0 = np.tile(zs, (len(index), 1))
-            sol = _iterate(list(index), np.bincount(expand), n, zs, opts, Z0)
+            sol = _iterate(list(index), np.bincount(expand), zs, opts, Z0)
             return sol._replace(Z=sol.Z[expand])
 
     Z0 = np.tile(zs, (n, 1)) if init is None else np.array(init, dtype=complex)
     if not np.all(Z0.imag >= zs.imag):  # NaN fails too
         raise DomainError("init must satisfy Im Z_i >= Im z")
-    return _iterate(measures, [1] * n, n, zs, opts, Z0)
+    return _iterate(measures, [1] * n, zs, opts, Z0)
 
 
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,

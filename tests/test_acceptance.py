@@ -248,7 +248,7 @@ def test_criterion_10_cumulant_suite(capsys):
     for _ in range(3):
         mu = random_atomic()
         m = [mu.moment(k) for k in range(1, 11)]
-        kap = list(moments_to_cumulants(m).kappa)
+        kap = list(moments_to_cumulants(m))
         oracle = moments_from_cumulants_nc(kap, 10)[1:]
         ok = ok and np.max(np.abs(np.array(oracle) - np.array(m))) < 1e-9
 

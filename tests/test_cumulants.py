@@ -41,20 +41,20 @@ def test_cumulants_match_noncrossing_partition_sums():
         mu = random_atomic(rng, max_atoms=3)
         m = [mu.moment(k) for k in range(1, 11)]
         kap = moments_to_cumulants(m)
-        oracle = moments_from_cumulants_nc(list(kap.kappa), 10)
+        oracle = moments_from_cumulants_nc(list(kap), 10)
         assert np.max(np.abs(np.array(oracle[1:]) - np.array(m))) < 1e-9
 
 
 def test_semicircle_cumulants_vanish_beyond_two():
     kap = measure_cumulants(Measure.semicircle(1.5), 10)
-    assert kap.kappa[0] == pytest.approx(0.0)
-    assert kap.kappa[1] == pytest.approx(1.5)
-    assert np.max(np.abs(kap.kappa[2:])) < 1e-12
+    assert kap[0] == pytest.approx(0.0)
+    assert kap[1] == pytest.approx(1.5)
+    assert np.max(np.abs(kap[2:])) < 1e-12
 
 
 def test_bernoulli_cumulants_known_values():
     # kappa_2 = 1, kappa_4 = -1, kappa_6 = 2 for the symmetric +-1 law
-    kap = measure_cumulants(Measure.bernoulli(), 6).kappa
+    kap = measure_cumulants(Measure.bernoulli(), 6)
     assert kap[1] == pytest.approx(1.0)
     assert kap[3] == pytest.approx(-1.0)
     assert kap[5] == pytest.approx(2.0)

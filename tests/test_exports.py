@@ -5,7 +5,7 @@ import pytest
 import freeconv
 
 REMOVED = ("SubordinationSolution", "g_free", "g_free_grid", "weighted_sum_g",
-           "k_transform_series")
+           "k_transform_series", "CumulantSequence")
 
 
 def test_all_names_resolve_once():
@@ -19,3 +19,8 @@ def test_all_names_resolve_once():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", ["to_json_dict", "from_json_dict"])
+def test_measure_json_helpers_are_folded(name):
+    assert not hasattr(freeconv.Measure, name)

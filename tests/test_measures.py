@@ -27,6 +27,41 @@ def test_non_finite_inputs_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("fields", [
+    # mass 2 (solve gave G = -2j), an unknown kind (a nan residual) and list
+    # atoms (unhashable, a TypeError in solve_grid's dedupe) used to pass
+    dict(kind="atomic", atoms=((0.0, 2.0),)),
+    dict(kind="banana"),
+    dict(kind="atomic", atoms=[(-1.0, 0.5), (1.0, 0.5)]),
+    dict(kind="atomic", atoms=((-1.0, 0.5), [1.0, 0.5])),
+    dict(kind="atomic", atoms=((1.0, 0.5), (-1.0, 0.5))),
+    dict(kind="atomic", atoms=((1.0, 0.5), (1.0, 0.5))),
+    dict(kind="atomic", atoms=((-1.0, 1.5), (1.0, -0.5))),
+    dict(kind="atomic", atoms=((math.inf, 1.0),)),
+    dict(kind="atomic", atoms=()),
+    dict(kind="atomic", atoms=((0.0, 1.0),), variance_param=1.0),
+    dict(kind="semicircle"),
+    dict(kind="semicircle", atoms=((0.0, 1.0),), variance_param=1.0),
+], ids=["mass-2", "unknown-kind", "list-atoms", "list-pair", "unsorted",
+        "repeated-position", "negative-weight", "inf-position", "no-atoms",
+        "atomic-with-variance", "semicircle-variance-0", "semicircle-with-atoms"])
+def test_bare_construction_is_validated(fields):
+    with pytest.raises(DomainError, match="invalid measure: kind="):
+        Measure(**fields)
+
+
+def test_atomic_rejects_a_negative_weight_before_merging():
+    with pytest.raises(DomainError, match="atom weight"):
+        Measure.atomic([0.0, 0.0], [1.5, -0.5])
+
+
+def test_bare_construction_equals_named_constructor():
+    bern = Measure(kind="atomic", atoms=((-1.0, 0.5), (1.0, 0.5)))
+    assert bern == Measure.bernoulli() and hash(bern) == hash(Measure.bernoulli())
+    sc = Measure(kind="semicircle", variance_param=2.0)
+    assert sc == Measure.semicircle(2.0) and hash(sc) == hash(Measure.semicircle(2.0))
+
+
 def test_atomic_merges_duplicate_positions():
     mu = Measure.atomic([1.0, 1.0, -1.0], [0.25, 0.25, 0.5])
     assert len(mu.atoms) == 2
