@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InversionError
 from .measures import Measure
@@ -190,6 +189,8 @@ def _integral(f, lo: float, hi: float, where: str) -> float:
     """QUADPACK integral of f over [lo, hi] (either end may be infinite) to
     the absolute tolerance _QUAD_TOL; raises InversionError naming ``where``
     when quad reports that it missed the tolerance."""
+    from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
+
     val, err, _, *warning = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=0.0,
                                  full_output=1)
     if warning:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DomainError
 
@@ -192,6 +191,8 @@ _CHI2_BINS = 40  # equal-width bins over [-min(sqrt(n), 6), min(sqrt(n), 6)]
 
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
+    from scipy.special import chdtrc  # deferred: scipy.special is slow to import
+
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)

@@ -16,6 +16,11 @@ not on the step size, once it is below the tolerance or below the rounding
 level of the sums it is made of, 8 eps (|z| + |sum_i Z_i| + (n-1)|w|),
 whichever is larger: at large |z| or for hundreds of coordinates that
 level exceeds any fixed absolute tolerance.
+
+Points are independent, so a grid is solved in column tiles of about
+2^15 coordinate-points (512 KiB per complex block), one after another:
+the Newton temporaries stay in cache, and memory beyond the returned Z is
+a few tiles, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ class SolveOptions:
 
 DEFAULT_OPTIONS = SolveOptions()
 _ROUNDING = 8.0 * np.finfo(float).eps  # residual floor per unit of its sums
+_TILE = 1 << 15  # coordinate-points per tile: a complex block of 512 KiB
 
 
 class GridSolution(NamedTuple):
@@ -66,8 +72,9 @@ def _make_evaluator(measures):
     atomic = [i for i, mu in enumerate(measures) if mu.kind == "atomic"]
     semi = [i for i, mu in enumerate(measures) if mu.kind != "atomic"]
     na = max((len(measures[i].atoms) for i in atomic), default=0)
-    X = np.zeros((na, len(atomic), 1))
-    W = np.zeros((na, len(atomic), 1))  # zero weight pads shorter lists
+    # complex, as numpy would cast them at every use
+    X = np.zeros((na, len(atomic), 1), dtype=complex)
+    W = np.zeros((na, len(atomic), 1), dtype=complex)  # zero weight pads
     for a, i in enumerate(atomic):
         for j, (x, w) in enumerate(measures[i].atoms):
             X[j, a, 0], W[j, a, 0] = x, w
@@ -105,19 +112,32 @@ def _iterate(measures, counts, zs, opts: SolveOptions, Z):
     """Newton on a (k, m) coordinate block, one point per column.
 
     counts[k] is the multiplicity of measures[k] among the n = sum(counts)
-    system coordinates.  Converged grid points leave the working set, so late
-    steps only touch the stragglers.  Block temporaries are updated in
-    place: with hundreds of coordinates each (k, m) array is tens of MiB.
+    system coordinates.  Points are independent, so the columns are solved
+    one tile of max(1, _TILE // k) points after another, each tile's block
+    small enough to stay in cache; Z and the per-point outputs are filled
+    tile by tile.
     """
     m = zs.shape[0]
     c = np.asarray(counts, dtype=float)
-    n = int(np.sum(counts))
     evaluate = _make_evaluator(measures)
     F0 = np.empty(m, dtype=complex)
     res = np.empty(m)
     tol = np.empty(m)
     iterations = np.zeros(m, dtype=int)
-    idx, Zw, zw = np.arange(m), Z, zs
+    width = max(1, _TILE // len(measures))
+    for lo in range(0, m, width):
+        t = slice(lo, lo + width)
+        _newton(evaluate, c, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
+                iterations[t])
+    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
+
+
+def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
+    """Newton steps on one tile until every point converges or max_iters;
+    writes Z and the per-point outputs in place.  Converged points leave
+    the working set, so late steps only touch the stragglers."""
+    n = int(np.sum(c))
+    idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
 
     for step in range(opts.max_iters + 1):
         F, dF = evaluate(Zw)
@@ -133,7 +153,7 @@ def _iterate(measures, counts, zs, opts: SolveOptions, Z):
         live = rw > tw
         if step == opts.max_iters or not np.any(live):
             Z[:, idx] = Zw
-            break
+            return
         if not np.all(live):
             Z[:, idx[~live]] = Zw[:, ~live]
             idx, zw, Zw = idx[live], zw[live], Zw[:, live]
@@ -156,8 +176,6 @@ def _iterate(measures, counts, zs, opts: SolveOptions, Z):
         del F, dF, inv, e  # free the block before the next evaluation
         Zw = Zn
         iterations[idx] += 1
-
-    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
 def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,

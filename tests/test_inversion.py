@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.complexfn import cauchy, sqrt_cut
 from freeconv.errors import DomainError, InversionError
@@ -37,6 +38,39 @@ def test_recover_cdf_monotone_in_unit_range():
     assert np.all(np.diff(d.cdf) >= -1e-15)
     assert 0.0 <= d.cdf[0] <= d.cdf[-1] <= 1.0
     assert d.tail_mass < 5e-3
+
+
+_mass_summand = st.one_of(
+    st.builds(lambda p, s: Measure.binomial(p).scale(s), st.floats(0.2, 0.8),
+              st.floats(-0.7, 0.7).filter(lambda s: abs(s) > 0.05)),
+    st.builds(Measure.semicircle, st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ms=st.lists(_mass_summand, min_size=1, max_size=3),
+       eta=st.floats(0.02, 0.3), d=st.floats(0.5, 4.0))
+def test_recovered_mass_is_one(ms, eta, d):
+    """The trapezoid mass of recover's density on [-R, R], R = L + d, for a
+    free sum supported in [-L, L] (L = the sum of the summands' radii).
+
+    The density is p = mu * P_eta with the Cauchy kernel P_eta.  On the
+    whole grid of step h the trapezoid sum of P_eta is 1 up to
+    2q/(1-q), q = exp(-2 pi eta/h) (Poisson summation).  The window drops
+    the grid points beyond +-R, whose sum is at most the Cauchy tail mass
+    beyond the window, 2 eta/(pi d), and halves the two end points, at most
+    h eta/(pi d^2).  So -2q/(1-q) <= 1 - mass <= 2q/(1-q) + 2 eta/(pi d)
+    + h eta/(pi d^2), plus 1e-9 for the solver and rounding.
+    """
+    L = sum(mu.support_radius for mu in ms)
+    R = L + d
+    points = math.ceil(8.0 * R / eta) + 1  # h <= eta/4
+    dist = recover(lambda zs: solve(ms, zs).G, -R, R, points=points, eta=eta)
+    h = dist.grid[1] - dist.grid[0]
+    q = math.exp(-2.0 * math.pi * eta / h)
+    alias = 2.0 * q / (1.0 - q) + 1e-9
+    window = 2.0 * eta / (math.pi * d) + h * eta / (math.pi * d * d)
+    deficit = 1.0 - float(np.trapezoid(dist.density, dist.grid))
+    assert -alias <= deficit <= alias + window
 
 
 def test_recover_validates_arguments():

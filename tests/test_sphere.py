@@ -183,6 +183,15 @@ def test_import_does_not_load_scipy_stats():
     assert res.stdout.strip() == "False"
 
 
+def test_import_does_not_load_scipy_integrate_or_special():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = ("import sys, freeconv; "
+            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_uniform_weight_vector():
     th = WeightVector.uniform(16)
     assert np.all(th.theta == 0.25)

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
-from freeconv.sphere import WeightVector
-from freeconv.subordination import (SolveOptions, solve, solve_grid,
+from freeconv.sphere import WeightVector, sample
+from freeconv.subordination import (_TILE, SolveOptions, solve, solve_grid,
                                     weighted_summands)
 
 from oracles import binomial_convolution_g
@@ -251,3 +254,70 @@ def test_mixed_list_properties(ms, data, x, y):
     assert convp[0]
     assert abs(Gp[0] - G[0]) <= 1e-6 * (1.0 + abs(G[0]))
     assert np.all(np.abs(Zp[:, 0] - Z[list(order), 0]) <= 1e-6 * (1.0 + np.abs(Zp[:, 0])))
+
+
+def _random_sum(n):
+    return weighted_summands(Measure.bernoulli(), sample(n, 0, 0))
+
+
+def test_init_path_spans_tiles_and_matches_binomial_oracle():
+    """init= keeps all 256 identical coordinates, so the 4001 points run in
+    many tiles; every point converges to the closed form."""
+    n, zs = 256, np.linspace(-3, 3, 4001) + 1j
+    assert zs.size > 3 * (_TILE // n)
+    mu = Measure.bernoulli().scale(1.0 / np.sqrt(n))
+    _, _, G, _, _, conv = solve_grid([mu] * n, zs, init=np.tile(zs, (n, 1)))
+    assert np.all(conv)
+    assert np.max(np.abs(G - binomial_convolution_g(0.5, n, zs))) < 1e-10
+
+
+def test_tiles_are_independent_solves():
+    """Each tile's columns of a three-tile solve equal solve_grid on that
+    tile's points alone, bit for bit."""
+    ms = _random_sum(64)
+    width = _TILE // 64
+    zs = np.linspace(-3, 3, 2 * width + 100) + 1e-3j
+    full = solve_grid(ms, zs)
+    for lo in range(0, zs.size, width):
+        part = solve_grid(ms, zs[lo:lo + width])
+        for a, b in zip(full, part):
+            assert np.array_equal(a[..., lo:lo + width], b)
+
+
+def _digest(sol):
+    h = hashlib.sha256()
+    for a in sol:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_MIXED = [Measure.bernoulli().scale(0.5), Measure.binomial(0.2).scale(-0.7),
+          Measure.semicircle(0.06)]
+
+
+@pytest.mark.parametrize("ms, m, digest", [
+    (_random_sum(4), 201, "913c1b26c1b343e04850afb42c3328b88ea9aae94486982b659a5f2e042ea3aa"),
+    (_random_sum(8), 201, "b011e8745f092bb60d6686d2e352e6b060014e2b5fa48cd1684c6e9ffb0deda5"),
+    (_random_sum(16), 2001, "2f9c7ba159cb39e8e9fd8d9e7ee7170c9b66e179c96555b1082cd493958a7805"),
+    (_random_sum(64), 500, "9c848f64651c2bbd211d9c3a417d68abb38050787f893289fb2b61990f250ff8"),
+    (_MIXED, 401, "1196fc911d494080bfb5a3c37e26de614025da2c6ab7012a9007cad5f80fb767"),
+], ids=["n4", "n8", "n16", "n64", "mixed"])
+def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
+    """A call of at most one tile is one Newton loop over the whole block,
+    so its bytes are pinned to those of the untiled solver."""
+    assert m <= _TILE // len(ms)
+    assert _digest(solve_grid(ms, np.linspace(-3, 3, m) + 1e-3j)) == digest
+
+
+def test_grid_memory_stays_near_output_size():
+    """256 distinct coordinates on 4001 points: the traced peak stays below
+    twice the returned Z (the untiled solver peaked near 7x)."""
+    ms, zs = _random_sum(256), np.linspace(-3, 3, 4001) + 1e-3j
+    tracemalloc.start()
+    try:
+        sol = solve_grid(ms, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(sol.converged)
+    assert peak < 2 * sol.Z.nbytes
