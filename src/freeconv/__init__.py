@@ -3,7 +3,7 @@ spectral recovery by Stieltjes inversion, and experiment harnesses for
 central-limit rates, support bounds, and functional-equation residuals.
 """
 
-from .complexfn import cauchy, f_transform, sqrt_cut
+from .complexfn import cauchy, sqrt_cut
 from .cumulants import (cumulants_to_moments, kargin_bound_check,
                         measure_cumulants, moments_to_cumulants, phi_theta)
 from .errors import (BranchCutError, DegenerateMeasureError, DomainError,
@@ -32,10 +32,10 @@ __all__ = [
     "OutOfDiscError", "RateReport", "RateRow", "SolveOptions",
     "SupportReport", "WeightVector", "arcsine_cdf", "bai_integrals", "cauchy",
     "concentration_report", "cubic_roots", "cumulants_to_moments",
-    "delta_eps", "delta_tilde", "detect_support", "f_transform",
-    "fit_loglog_slope", "functional_residuals", "kargin_bound_check",
-    "kolmogorov", "levy", "marginal_density", "measure_cumulants",
-    "moments_to_cumulants", "nonid_experiment", "phi_theta",
+    "delta_eps", "delta_tilde", "detect_support", "fit_loglog_slope",
+    "functional_residuals", "kargin_bound_check", "kolmogorov", "levy",
+    "marginal_density", "measure_cumulants", "moments_to_cumulants",
+    "nonid_experiment", "phi_theta",
     "rate_experiment", "recover", "recover_weighted_sum", "sample",
     "sample_matrix", "semicircle_cdf", "semicircle_density", "solve",
     "solve_grid", "sqrt_cut", "superconvergence_radius", "support_experiment",

@@ -73,9 +73,3 @@ def cauchy(mu: Measure, z):
         w = z / s
         out = 2.0 / (s * (w + sqrt_cut(w * w - 4.0)))
     return complex(out[0]) if scalar else out
-
-
-def f_transform(mu: Measure, z):
-    """Reciprocal Cauchy transform F_mu = 1/G_mu; satisfies Im F(z) >= Im z."""
-    g = cauchy(mu, z)
-    return 1.0 / g

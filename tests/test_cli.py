@@ -84,6 +84,7 @@ def test_distance_from_measure_file(tmp_path):
     (5.0, 6.0, "levy", 1.0),
     (1e-4, 2e-4, "kolmogorov", 1.0),
     (1e-4, 2e-4, "levy", 1e-4),
+    (0.3, 0.30001, "delta_eps", 1.0),
 ])
 def test_distance_between_point_masses_is_exact(tmp_path, x, y, metric,
                                                 expected):
@@ -96,8 +97,11 @@ def test_distance_between_point_masses_is_exact(tmp_path, x, y, metric,
     code = run(["distance", "--a", specs[0], "--b", specs[1],
                 "--metric", metric, "--output", str(out), "--no-timestamp"])
     assert code == 0
-    assert json.loads(out.read_text())["value"] == pytest.approx(expected,
-                                                                 rel=1e-12)
+    value = json.loads(out.read_text())["value"]
+    if expected == 1.0:
+        assert value == 1.0
+    else:
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_distance_reads_convolve_density_csv(tmp_path):
@@ -170,6 +174,18 @@ def test_output_to_unwritable_path_is_io_error(tmp_path):
     code = run(["sphere", "--n", "8", "--count", "1", "--seed", "0",
                 "--output", str(tmp_path / "missing_dir" / "x.csv")])
     assert code == 3
+
+
+def test_failed_rename_removes_temp_file(tmp_path):
+    """The artifact is written to a temp file beside the output path; when
+    the rename onto the path fails, here because it is a directory, the
+    temp file goes and the exit is an I/O error."""
+    (tmp_path / "out").mkdir()
+    code = run(["sphere", "--n", "4", "--count", "1", "--seed", "0",
+                "--output", str(tmp_path / "out")])
+    assert code == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_no_partial_output_on_failure(tmp_path, capsys):
@@ -267,15 +283,15 @@ GOLDEN = [
      "--points 101"),
     ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
      "distance --a arcsine --b semicircle"),
-    ("14e0050bfad4be2f923fb728cfa22f5df43599dc568c8fece6f5fd70d3a5b18a",
+    ("39059a50c3d8298cb2ae10c7770a19ce3f42cba6d12bb980c83da5580b7a895e",
      "distance --a arcsine --b semicircle --metric levy"),
-    ("134420985d00e60a5c14a15936c42507280d4a3e18a20e802eb1888012b36f67",
+    ("49c55e549dc181bbdca1b80eb972101ae8aa30ba2671a99c972db61eb48d9389",
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
     ("8dd124909b9cd110e045945a3561eef3d94a3cd2ea2bd05ea47d9a12c70d5aee",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("6b5bf21c1132ce0aff8c678d6ef5181a8f3aaa20aec0f1f4d325d62634d9f885",
+    ("49410464204b339c41f4d5df01e43cf93fa54b6a3eb3670b1201efef506f2794",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",

@@ -6,7 +6,7 @@ import pytest
 from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
                                 measure_cumulants, moments_to_cumulants,
                                 phi_theta)
-from freeconv.errors import OutOfDiscError
+from freeconv.errors import DomainError, OutOfDiscError
 from freeconv.measures import Measure
 
 from oracles import moments_from_cumulants_nc
@@ -30,6 +30,11 @@ def test_roundtrip_moments_cumulants():
         kap = moments_to_cumulants(m)
         back = cumulants_to_moments(kap)
         assert np.max(np.abs(np.array(back) - np.array(m))) < 1e-10
+
+
+def test_moments_to_cumulants_needs_a_moment():
+    with pytest.raises(DomainError, match="at least one moment"):
+        moments_to_cumulants([])
 
 
 def test_cumulants_match_noncrossing_partition_sums():

@@ -10,7 +10,7 @@ from freeconv.experiments import (cubic_roots, detect_support,
                                   nonid_experiment, rate_experiment,
                                   rate_report_csv, recover_weighted_sum,
                                   superconvergence_radius, support_experiment)
-from freeconv.inversion import delta_tilde
+from freeconv.inversion import GriddedDistribution, delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
 from freeconv.subordination import solve, weighted_summands
@@ -74,6 +74,20 @@ def test_detect_support_on_semicircle():
     lo, hi = detect_support(dist, threshold=1e-5)
     assert -2.05 < lo < -1.97
     assert 1.97 < hi < 2.05
+
+
+def test_detect_support_needs_a_density_core():
+    flat = GriddedDistribution(grid=np.linspace(-1.0, 1.0, 5), density=np.zeros(5),
+                               cdf=np.zeros(5), eta=1e-3, tail_mass=1.0)
+    with pytest.raises(DomainError, match="no density core"):
+        detect_support(flat, threshold=1e-5)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-5])
+def test_support_experiment_rejects_nonpositive_threshold(threshold):
+    with pytest.raises(DomainError, match="density_threshold"):
+        support_experiment(Measure.bernoulli(), WeightVector.uniform(4),
+                           density_threshold=threshold)
 
 
 def test_support_experiment_uniform_weights():
@@ -178,3 +192,8 @@ def test_nonid_experiment_states_ratio():
 def test_nonid_experiment_rejects_nonzero_mean():
     with pytest.raises(DomainError):
         nonid_experiment([Measure.atomic([0.0, 1.0], [0.5, 0.5])])
+
+
+def test_nonid_experiment_rejects_zero_variance():
+    with pytest.raises(DomainError, match="positive variance"):
+        nonid_experiment([Measure.bernoulli(), Measure.point(0.0)])

@@ -5,7 +5,7 @@ import pytest
 import freeconv
 
 REMOVED = ("SubordinationSolution", "g_free", "g_free_grid", "weighted_sum_g",
-           "k_transform_series", "CumulantSequence")
+           "k_transform_series", "CumulantSequence", "f_transform")
 
 
 def test_all_names_resolve_once():
@@ -15,7 +15,7 @@ def test_all_names_resolve_once():
 
 
 @pytest.mark.parametrize("module", ["freeconv", "freeconv.subordination",
-                                    "freeconv.cumulants"])
+                                    "freeconv.cumulants", "freeconv.complexfn"])
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -12,6 +12,8 @@ from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
 from freeconv.subordination import solve
 
+from oracles import delta_eps_steps, levy_steps
+
 
 def semicircle_g(zs):
     return cauchy(Measure.semicircle(1.0), zs)
@@ -80,6 +82,13 @@ def test_recover_validates_arguments():
         recover(semicircle_g, -2, 2, eta=0.0)
 
 
+def test_recover_rejects_density_dip():
+    """A transform in the upper half-plane is no Cauchy transform: its
+    density is negative."""
+    with pytest.raises(InversionError, match="dips"):
+        recover(lambda z: np.full(z.shape, 1j), -1, 1, points=5)
+
+
 def test_csv_roundtrip():
     d = recover(semicircle_g, -3, 3, points=501, eta=1e-2)
     again = GriddedDistribution.from_csv(d.to_csv())
@@ -87,6 +96,11 @@ def test_csv_roundtrip():
     assert np.array_equal(again.density, d.density)
     assert again.eta == d.eta
     assert again.tail_mass == d.tail_mass
+
+
+def test_from_csv_requires_eta_line():
+    with pytest.raises(DomainError, match="eta="):
+        GriddedDistribution.from_csv("x,density,cdf\n0,1,0.5\n")
 
 
 def test_kolmogorov_known_value():
@@ -123,6 +137,91 @@ def test_levy_of_shift_is_shift():
     g = lambda x: semicircle_cdf(np.asarray(x, float) - 0.1)
     d = levy(f, g)
     assert 0.01 < d <= 0.1 + 1e-9
+
+
+def _levy_violation(f, g, nodes, s):
+    """Largest violation of the Levy condition F(x - s) - s <= G(x) <=
+    F(x + s) + s, over all x, for CDFs f and g linear between the nodes:
+    both sides are piecewise linear with breaks at nodes and nodes +- s."""
+    xs = np.concatenate([nodes, nodes - s, nodes + s])
+    return max(np.max(f(xs - s) - s - g(xs)), np.max(g(xs) - f(xs + s) - s))
+
+
+def test_levy_meets_its_definition_arcsine_semicircle():
+    """The Levy condition of the piecewise-linear CDFs on the 4001-point
+    [-4, 4] grid fails just below the computed distance and holds just
+    above it."""
+    grid = np.linspace(-4.0, 4.0, 4001)
+    f = lambda x: np.interp(x, grid, arcsine_cdf(grid))
+    g = lambda x: np.interp(x, grid, semicircle_cdf(grid))
+    d = levy(arcsine_cdf, semicircle_cdf)
+    assert _levy_violation(f, g, grid, d - 1e-12) > 0.0
+    assert _levy_violation(f, g, grid, d + 1e-12) <= 0.0
+
+
+def test_gridded_pair_compared_on_both_grids():
+    """The CDFs differ most at x = 0.6, a node of b's grid only; every
+    distance sees it."""
+    a = GriddedDistribution(grid=np.array([-2.0, 0.0, 2.0]), density=np.zeros(3),
+                            cdf=np.array([0.0, 0.5, 1.0]), eta=1e-3, tail_mass=0.0)
+    b = GriddedDistribution(grid=np.array([-2.0, 0.6, 2.0]), density=np.zeros(3),
+                            cdf=np.array([0.0, 0.9, 1.0]), eta=1e-3, tail_mass=0.0)
+    assert kolmogorov(a, b) == pytest.approx(0.25, abs=1e-15)
+    # anchored at -1.5, where F_b - F_a = 0.9 * 0.5/2.6 - 0.125
+    assert delta_eps(a, b, 0.5) == pytest.approx(0.25 - (0.45 / 2.6 - 0.125),
+                                                 abs=1e-15)
+    nodes = np.union1d(a.grid, b.grid)
+    d = levy(a, b)
+    assert _levy_violation(a.cdf_at, b.cdf_at, nodes, d - 1e-12) > 0.0
+    assert _levy_violation(a.cdf_at, b.cdf_at, nodes, d + 1e-12) <= 0.0
+
+
+_atoms = st.lists(st.tuples(st.one_of(st.floats(-3.0, 3.0),
+                                      st.sampled_from([-1.5, 0.0, 0.3, 1.5])),
+                            st.floats(0.05, 1.0)),
+                  min_size=1, max_size=5, unique_by=lambda a: a[0])
+
+
+def _measure(atoms):
+    total = sum(w for _, w in atoms)
+    return Measure.atomic([x for x, _ in atoms], [w / total for _, w in atoms])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fa=_atoms, fb=_atoms)
+def test_atomic_distances_match_step_oracles(fa, fb):
+    """Random atomic pairs, atoms at the Delta_eps window's ends included,
+    against the step-CDF oracles built from the atoms alone."""
+    a, b = _measure(fa), _measure(fb)
+    assert levy(a, b) == pytest.approx(levy_steps(a.atoms, b.atoms), abs=1e-12)
+    assert delta_eps(a, b, 0.5) == pytest.approx(
+        delta_eps_steps(a.atoms, b.atoms, 0.5), abs=1e-12)
+
+
+def test_delta_eps_checks_each_grid_window():
+    """A grid on [-1, 1] does not cover [-1.5, 1.5], whatever the other
+    grid covers."""
+    wide = recover(semicircle_g, -3, 3, points=601, eta=1e-2)
+    narrow = recover(semicircle_g, -1, 1, points=201, eta=1e-2)
+    for a, b in ((wide, narrow), (narrow, wide), (narrow, semicircle_cdf)):
+        with pytest.raises(DomainError, match="cover"):
+            delta_eps(a, b, 0.5)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+def test_delta_eps_rejects_eps_out_of_range(eps):
+    with pytest.raises(DomainError, match="eps"):
+        delta_eps(semicircle_cdf, arcsine_cdf, eps)
+
+
+@pytest.mark.parametrize("a, eps, match", [
+    (0.0, 0.2, "a must"), (1.0, 0.2, "a must"),
+    (0.05, 0.0, "eps must"), (0.05, 1.0, "eps must"),
+])
+def test_delta_tilde_rejects_parameters_out_of_range(a, eps, match):
+    g = lambda z: 0j
+    with pytest.raises(DomainError, match=match):
+        delta_tilde(g, g, a=a, eps=eps)
 
 
 def test_delta_eps_anchored_at_left_endpoint():

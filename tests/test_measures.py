@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.errors import DomainError
+from freeconv.errors import DegenerateMeasureError, DomainError
 from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
 
@@ -121,6 +121,42 @@ def test_standardize_roundtrip():
     nu = mu.standardize()
     assert nu.mean == pytest.approx(0.0, abs=1e-14)
     assert nu.var == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+def test_binomial_rejects_p_outside_unit_interval(p):
+    with pytest.raises(DomainError, match="binomial parameter"):
+        Measure.binomial(p)
+
+
+@pytest.mark.parametrize("mu", [Measure.bernoulli(), Measure.semicircle(1.0)],
+                         ids=["atomic", "semicircle"])
+@pytest.mark.parametrize("order", ["moment", "abs_moment"])
+def test_moments_reject_order_below_one(mu, order):
+    with pytest.raises(DomainError, match="order"):
+        getattr(mu, order)(0)
+
+
+def test_abs_moment_atomic():
+    mu = Measure.atomic([-3.0, 1.0, 4.0], [0.3, 0.5, 0.2])
+    assert mu.abs_moment(1) == pytest.approx(0.9 + 0.5 + 0.8)
+    assert mu.abs_moment(3) == pytest.approx(0.3 * 27 + 0.5 + 0.2 * 64)
+
+
+def test_shift_of_semicircle_rejected():
+    with pytest.raises(DomainError, match="atomic"):
+        Measure.semicircle(1.0).shift(0.5)
+
+
+def test_standardize_semicircle_and_zero_variance():
+    assert Measure.semicircle(3.0).standardize() == Measure.semicircle(1.0)
+    with pytest.raises(DegenerateMeasureError):
+        Measure.point(2.0).standardize()
+
+
+def test_from_json_rejects_unknown_kind():
+    with pytest.raises(DomainError, match="unknown measure kind"):
+        Measure.from_json('{"kind": "cauchy"}')
 
 
 def test_abs_moment_semicircle_known_values():

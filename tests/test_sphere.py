@@ -139,6 +139,12 @@ def test_scalar_index_still_gives_weight_vector():
     assert np.array_equal(sample(6, 4, 7.9).theta, sample(6, 4, 7).theta)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_rejects_dimension_below_one(n):
+    with pytest.raises(DomainError, match="n must be"):
+        sample(n, seed=0)
+
+
 def test_sample_matrix_count_edges():
     assert sample_matrix(5, 0, seed=1).shape == (0, 5)
     with pytest.raises(DomainError):
