@@ -8,7 +8,11 @@ For measures nu_1..nu_n and z with Im z > 0, the system is
 where F_i is the reciprocal Cauchy transform of nu_i.  Its Jacobian in
 (Z_1..Z_n, w) is diagonal plus rank one, so eliminating dZ_i leaves a
 scalar Schur complement and one Newton step costs one pass over the atoms,
-like one fixed-point sweep.  A point whose Newton iterate is not finite or
+like one fixed-point sweep.  Every point starts at the free-CLT prediction:
+the summands other than i act like the semicircle of their mean and
+variance, so Z_i = z - (m - m_i) - (v - v_i) G_{sc(v)}(z - m), with m and v
+the total mean and variance; for semicircle summands this is the fixed
+point itself.  A point whose Newton iterate is not finite or
 leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
 (F_j(Z_j) - Z_j) instead, which stays there because Im(F_j(v) - v) >= 0
 (Belinschi-Mai-Speicher).  Convergence is declared on the system residual,
@@ -178,16 +182,36 @@ def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
         iterations[idx] += 1
 
 
+def _clt_start(measures, counts, zs):
+    """The free-CLT start of the module docstring as a (k, m) block, m and
+    v summed over the multiplicities counts.  G_{sc(v)}(u) is 2/(u + r),
+    r = sqrt(u - e) sqrt(u + e) in principal roots, e = 2 sqrt(v) the
+    edge: Im r > 0, so Im G <= 0 and Im Z_i >= Im z hold exactly, and unlike
+    cauchy's sqrt_cut form it meets no cut at tiny Im z and cannot
+    overflow at tiny v."""
+    mi = np.array([mu.mean for mu in measures])
+    # moment(2) - mean^2 can round below 0 for atoms far from the origin
+    vi = np.array([max(mu.var, 0.0) for mu in measures])
+    mean, var = np.dot(counts, mi), np.dot(counts, vi)
+    u = zs - mean
+    e = 2.0 * np.sqrt(var)
+    g = 2.0 / (u + np.sqrt(u - e) * np.sqrt(u + e))
+    Z0 = np.multiply((vi - var)[:, None], g)
+    Z0 += zs
+    Z0 -= (mean - mi)[:, None]
+    return Z0
+
+
 def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
                init=None) -> GridSolution:
     """Solve the subordination system simultaneously at every point of zs.
 
     Returns the GridSolution (Z, F, G, residual, iterations, converged)
     with Z of shape (n, m); points take Newton steps independently.
-    ``init`` (shape (n, m), Im Z_i >= Im z) replaces the start Z_i = z.
+    ``init`` (shape (n, m), Im Z_i >= Im z) replaces the free-CLT start.
     Duplicate measures share a coordinate internally: the fixed point is
-    symmetric in identical coordinates and the symmetric init preserves
-    that, so the collapsed system has the same solution.
+    symmetric in identical coordinates and identical measures get
+    identical starts, so the collapsed system has the same solution.
     """
     measures = list(measures)
     n = len(measures)
@@ -201,13 +225,15 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
         index = {}  # first-occurrence order; Measure is frozen, so hashable
         expand = [index.setdefault(mu, len(index)) for mu in measures]
         if len(index) < n:
-            Z0 = np.tile(zs, (len(index), 1))
-            sol = _iterate(list(index), np.bincount(expand), zs, opts, Z0)
+            counts = np.bincount(expand)
+            Z0 = _clt_start(list(index), counts, zs)
+            sol = _iterate(list(index), counts, zs, opts, Z0)
             return sol._replace(Z=sol.Z[expand])
-
-    Z0 = np.tile(zs, (n, 1)) if init is None else np.array(init, dtype=complex)
-    if not np.all(Z0.imag >= zs.imag):  # NaN fails too
-        raise DomainError("init must satisfy Im Z_i >= Im z")
+        Z0 = _clt_start(measures, [1] * n, zs)
+    else:
+        Z0 = np.array(init, dtype=complex)
+        if not np.all(Z0.imag >= zs.imag):  # NaN fails too
+            raise DomainError("init must satisfy Im Z_i >= Im z")
     return _iterate(measures, [1] * n, zs, opts, Z0)
 
 

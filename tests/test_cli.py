@@ -276,9 +276,9 @@ def test_timestamp_present_unless_suppressed(tmp_path):
 # subcommand formats its artifact shows; "mu.json" is the bernoulli measure
 # written to the working directory
 GOLDEN = [
-    ("b04dc532ef1e81034c2a6d23b4d9aa4a28fbd4746c706d7397dcc45188f876fe",
+    ("71426934e2593e39bcd73631976d87689ebbb94776ed567d866c6667beb10991",
      "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
-    ("14f53465b1aeecc6ca817c79caf8cee64962e560c7da4f487e1152a8faa4157d",
+    ("319e99e8b0f555582cb9f9d67d634db74732871b5d322942f761aec476bff42b",
      "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
      "--points 101"),
     ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
@@ -289,9 +289,9 @@ GOLDEN = [
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
-    ("8dd124909b9cd110e045945a3561eef3d94a3cd2ea2bd05ea47d9a12c70d5aee",
+    ("9f5948f29043ebd863558be1a0df019bdeac8cbd9039dc814b1a474fbaf95d8c",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("49410464204b339c41f4d5df01e43cf93fa54b6a3eb3670b1201efef506f2794",
+    ("9bc44141e4936dcede023780c3e8aef590e13451b99d7a999159081c37fa2467",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
@@ -299,9 +299,9 @@ GOLDEN = [
     ("bf7109b6a0c265b80a5b73307cf5f347c7393c860ea8ef50a41e979c81864a4e",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
-    ("0493f1c7015362cc87b95a27ff6036b8bdf48c9b194e4f2e650e5227cc6c2a09",
+    ("7becad0c08acabc008555049de231adbaea33b7f9042eebf226aa40475aadfa7",
      "residuals --preset bernoulli --n 4 --grid-points 9"),
-    ("c7f511741324ebebf9346fe407f0c4bed563b0a062c4791df76c98a08cd966aa",
+    ("c1ea74930ed0a7f1c2b76e97ccfe9b1ffd8b1d9a6cd0b5d1129761039d252bd3",
      "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),
     ("5c69a25250d00f40efdddfc6ebfa56446abf991d0ba1ebba1939ceab83f0bd65",
      "sphere --n 4 --count 3 --seed 1"),

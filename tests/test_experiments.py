@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from freeconv.complexfn import cauchy
-from freeconv.errors import DomainError
+from freeconv import experiments
+from freeconv.errors import BranchCutError, DomainError
 from freeconv.experiments import (cubic_roots, detect_support,
                                   fit_loglog_slope, functional_residuals,
                                   nonid_experiment, rate_experiment,
@@ -141,6 +142,40 @@ def test_functional_residuals_root_matching():
     for t in terms:
         (alone,) = functional_residuals(Measure.bernoulli(), th, [t.z])
         assert np.max(np.abs(np.subtract(alone.Z, t.Z))) < 1e-12
+
+
+_CUBIC_CUT = "branch-cut degeneracy in the closed-form roots"
+_QUADRATIC_CUT = " quadratic branch-cut degeneracy"
+
+
+@pytest.mark.parametrize("cuts, failure", [
+    ((True, False), _CUBIC_CUT),
+    ((False, True), _QUADRATIC_CUT),
+    ((True, True), _CUBIC_CUT + _QUADRATIC_CUT),
+], ids=["cubic", "quadratic", "both"])
+def test_functional_residuals_branch_cut_fallbacks(cuts, failure, monkeypatch):
+    """When sqrt_cut meets its cut, the cubic's other roots come from
+    cubic_roots and the quadratic's from the principal root: the same
+    roots, and root_failure names each fallback taken."""
+    th, z = sample(8, seed=2), 0.5 + 1j
+    (ref,) = functional_residuals(Measure.bernoulli(), th, [z])
+    assert ref.root_failure is None
+    on_cut, sqrt_cut = iter(cuts), experiments.sqrt_cut
+
+    def cut_sqrt(w):
+        if next(on_cut):
+            raise BranchCutError("on the cut")
+        return sqrt_cut(w)
+
+    monkeypatch.setattr(experiments, "sqrt_cut", cut_sqrt)
+    (t,) = functional_residuals(Measure.bernoulli(), th, [z])
+    assert t.root_failure == failure
+    for got, want in ((t.roots_p, ref.roots_p), (t.roots_q, ref.roots_q)):
+        got, want = sorted(got, key=lambda w: w.real), sorted(want, key=lambda w: w.real)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-9
+    assert t.vieta_sum_err <= 1e-9 and t.vieta_prod_err <= 1e-9
+    assert t.match_dist_p == pytest.approx(ref.match_dist_p, abs=1e-9)
+    assert t.match_dist_q == pytest.approx(ref.match_dist_q, abs=1e-9)
 
 
 def test_rate_experiment_small_schedule():

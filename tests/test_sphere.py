@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import freeconv
+from freeconv import sphere
 from freeconv.errors import DomainError
 from freeconv.sphere import (WeightVector, concentration_report,
                              marginal_chi2_pvalue, marginal_density, sample,
@@ -79,6 +80,48 @@ def test_sample_matrix_matches_stream_loop_bytes(n, count, seed, extra):
         got = sample(n, seed, np.array(extra))
         assert got.tobytes() == np.stack([_stream_loop_row(n, seed, k)
                                           for k in extra]).tobytes()
+
+
+def test_zero_draw_is_redrawn_on_the_same_stream(monkeypatch):
+    """A first draw of norm 0 is replaced by the stream's next draw."""
+    n, seed, k = 6, 3, 2
+    polar, first = sphere._polar_gaussians, []
+
+    def zero_first(rng, count):
+        g = polar(rng, count)  # the stream advances as for a real draw
+        if not first:
+            first.append(g)
+            return np.zeros(count)
+        return g
+
+    monkeypatch.setattr(sphere, "_polar_gaussians", zero_first)
+    got = sample(n, seed, k).theta
+    rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+    assert np.array_equal(polar(rng, n), first[0])
+    g = polar(rng, n)
+    assert got.tobytes() == (g / np.linalg.norm(g)).tobytes()
+
+
+def test_zero_row_in_a_batch_takes_the_scalar_path(monkeypatch):
+    """A batched row of norm 0 is redrawn by the scalar sampler."""
+    first_round = sphere._first_round
+
+    def zero_row_one(raw, n):
+        g, short = first_round(raw, n)
+        g[1] = 0.0
+        return g, short
+
+    calls = []
+
+    def scalar_sample(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(sphere, "_first_round", zero_row_one)
+    monkeypatch.setattr(sphere, "sample", scalar_sample)
+    M = sample(6, 3, np.arange(3))
+    assert calls == [(6, 3, 1)]
+    assert M.tobytes() == np.stack([sample(6, 3, k).theta for k in range(3)]).tobytes()
 
 
 @pytest.mark.parametrize("seed,idx", [
