@@ -1,4 +1,4 @@
-"""Branch-convention complex square root and the Cauchy/F transform zoo.
+"""Branch-convention complex square root and the Cauchy transform.
 
 The square root places its branch cut on the non-negative real axis:
 sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2} with phi = arg z in (0, 2pi), so the
@@ -11,7 +11,9 @@ with the convention sgn(0) = +1.  Products of square roots are never
 simplified algebraically: sqrt(z1 z2) != sqrt(z1) sqrt(z2) in general under
 this convention.
 
-All functions accept scalars or numpy arrays and are pure.
+The semicircle's G is one closed form in principal roots, _semicircle_g,
+shared by cauchy and the subordination solver.  All functions accept
+scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
@@ -53,23 +55,28 @@ def _check_upper(z):
     return z
 
 
+def _semicircle_g(z, variance):
+    """Semicircle G at z in C+ for a variance (0 gives 1/z, an array
+    broadcasts): 2/(z + sqrt(z - e) sqrt(z + e)), e = 2 sqrt(variance).
+    Both principal roots lie in the first quadrant, so Im G < 0 with no cut
+    test even at Im z below the rounding of Re z; z -+ e lose nothing near
+    the edges, and no z^2 is formed to overflow or cancel."""
+    e = 2.0 * np.sqrt(variance)
+    return 2.0 / (z + np.sqrt(z - e) * np.sqrt(z + e))
+
+
 def cauchy(mu: Measure, z):
     """Cauchy transform G_mu(z) = int 1/(z-t) dmu(t) for Im z > 0.
 
-    Atomic measures are summed exactly; Semicircle(c) uses the closed form
-    G(z) = G_w(z/sqrt(c))/sqrt(c) with G_w(z) = (z - sqrt_cut(z^2-4))/2,
-    evaluated as 2/(z + sqrt_cut(z^2-4)) (the same root: the product of the
-    two denominators is 4) so that large |z| does not cancel.
+    Atomic measures are summed exactly; a semicircle goes through
+    _semicircle_g: principal roots meet no cut at tiny Im z, no z^2 is
+    formed to overflow, and z plus a root near z does not cancel.
     """
     z = _check_upper(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if mu.kind == "atomic":
         out = np.zeros_like(z)
         for x, w in mu.atoms:
             out += w / (z - x)
     else:
-        s = np.sqrt(mu.variance_param)
-        w = z / s
-        out = 2.0 / (s * (w + sqrt_cut(w * w - 4.0)))
-    return complex(out[0]) if scalar else out
+        out = _semicircle_g(z, mu.variance_param)
+    return out if out.ndim else complex(out)

@@ -154,12 +154,6 @@ class Measure:
 
     # -- transformations ---------------------------------------------------
 
-    def dilate(self, c: float) -> "Measure":
-        """Pushforward under x -> c*x for c > 0."""
-        if c <= 0.0:
-            raise DomainError(f"dilation factor must be positive, got {c}")
-        return self.scale(c)
-
     def scale(self, c: float) -> "Measure":
         """Signed dilation x -> c*x; semicircle variance scales by c^2, and
         c = 0 collapses to the point mass at 0."""
@@ -183,7 +177,7 @@ class Measure:
         v = self.var
         if v <= 0.0:
             raise DegenerateMeasureError("cannot standardize a zero-variance measure")
-        return self.shift(-self.mean).dilate(1.0 / math.sqrt(v))
+        return self.shift(-self.mean).scale(1.0 / math.sqrt(v))
 
     # -- serialization -----------------------------------------------------
 

@@ -169,12 +169,12 @@ def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def vector_stats(theta) -> dict:
-    """max|theta_i|, sum_i |theta_i|^k for k in 3..9, and sum of cubes."""
+    """max|theta_i|, sum_i |theta_i|^k for k = 3 and 4, and sum of cubes."""
     t = as_weights(theta)
     a = np.abs(t)
     return {
         "max_abs": float(np.max(a)),
-        "sum_abs_pow": {k: float(np.sum(a**k)) for k in range(3, 10)},
+        "sum_abs_pow": {k: float(np.sum(a**k)) for k in (3, 4)},
         "sum_cubes": float(np.sum(t**3)),
     }
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexfn import cauchy
+from .complexfn import _semicircle_g
 from .errors import DomainError, IterationError
 from .measures import Measure
 from .sphere import as_weights
@@ -70,11 +70,13 @@ def _make_evaluator(measures):
     """(F_i(Z_i), F_i'(Z_i)) on a (k, m) block of points in C+.
 
     Atomic coordinates are summed over stacked atom arrays, one atom at a
-    time (F' = F^2 sum_j w_j/(Z - x_j)^2); semicircle coordinates go
-    through cauchy (F' = F/(2F - Z), from F^2 - Z F + variance = 0).
+    time (F' = F^2 sum_j w_j/(Z - x_j)^2); semicircle coordinates are one
+    _semicircle_g block against a column of their variances (F' =
+    F/(2F - Z), from F^2 - Z F + variance = 0).
     """
     atomic = [i for i, mu in enumerate(measures) if mu.kind == "atomic"]
     semi = [i for i, mu in enumerate(measures) if mu.kind != "atomic"]
+    V = np.array([[measures[i].variance_param] for i in semi])  # (s, 1)
     na = max((len(measures[i].atoms) for i in atomic), default=0)
     # complex, as numpy would cast them at every use
     X = np.zeros((na, len(atomic), 1), dtype=complex)
@@ -103,10 +105,10 @@ def _make_evaluator(measures):
         dF = np.empty_like(Z)
         if atomic:
             F[atomic], dF[atomic] = atomic_part(Z[atomic])
-        for i in semi:
-            Fi = 1.0 / cauchy(measures[i], Z[i])
-            F[i] = Fi
-            dF[i] = Fi / (2.0 * Fi - Z[i])
+        Zs = Z[semi]
+        Fs = 1.0 / _semicircle_g(Zs, V)
+        F[semi] = Fs
+        dF[semi] = Fs / (2.0 * Fs - Zs)
         return F, dF
 
     return evaluate
@@ -184,19 +186,14 @@ def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
 
 def _clt_start(measures, counts, zs):
     """The free-CLT start of the module docstring as a (k, m) block, m and
-    v summed over the multiplicities counts.  G_{sc(v)}(u) is 2/(u + r),
-    r = sqrt(u - e) sqrt(u + e) in principal roots, e = 2 sqrt(v) the
-    edge: Im r > 0, so Im G <= 0 and Im Z_i >= Im z hold exactly, and unlike
-    cauchy's sqrt_cut form it meets no cut at tiny Im z and cannot
-    overflow at tiny v."""
+    v summed over the multiplicities counts.  _semicircle_g has Im G <= 0
+    exactly, so Im Z_i >= Im z holds with no clamp; v = 0 (point masses
+    only) needs no branch, as its G term is multiplied by v - v_i = 0."""
     mi = np.array([mu.mean for mu in measures])
     # moment(2) - mean^2 can round below 0 for atoms far from the origin
     vi = np.array([max(mu.var, 0.0) for mu in measures])
     mean, var = np.dot(counts, mi), np.dot(counts, vi)
-    u = zs - mean
-    e = 2.0 * np.sqrt(var)
-    g = 2.0 / (u + np.sqrt(u - e) * np.sqrt(u + e))
-    Z0 = np.multiply((vi - var)[:, None], g)
+    Z0 = np.multiply((vi - var)[:, None], _semicircle_g(zs - mean, var))
     Z0 += zs
     Z0 -= (mean - mi)[:, None]
     return Z0

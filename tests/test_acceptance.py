@@ -311,7 +311,7 @@ def test_criterion_11_distance_algebra(capsys):
     dx = 8.0 / (DEFAULT_POINTS - 1)  # distance grid resolution
     for _ in range(20):
         c1, c2 = rng.uniform(0.5, 1.5, size=2)
-        dl = levy(step_cdf(b.dilate(c1)), step_cdf(b.dilate(c2)))
+        dl = levy(step_cdf(b.scale(c1)), step_cdf(b.scale(c2)))
         ok = ok and dl <= abs(c1 - c2) + dx
 
     _report(capsys, 11, "distance inequalities", ok)

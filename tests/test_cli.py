@@ -10,7 +10,8 @@ import pytest
 from freeconv import cli
 from freeconv.cli import main
 from freeconv.errors import DomainError
-from freeconv.measures import Measure
+from freeconv.inversion import GriddedDistribution
+from freeconv.measures import Measure, semicircle_density
 
 
 def run(args):
@@ -198,6 +199,7 @@ def test_no_partial_output_on_failure(tmp_path, capsys):
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
     err = capsys.readouterr().err
+    assert "numerical failure" in err
     assert "z=" in err
     assert re.search(r"residual \d\.\d+e[+-]\d+", err)
 
@@ -276,7 +278,7 @@ def test_timestamp_present_unless_suppressed(tmp_path):
 # subcommand formats its artifact shows; "mu.json" is the bernoulli measure
 # written to the working directory
 GOLDEN = [
-    ("71426934e2593e39bcd73631976d87689ebbb94776ed567d866c6667beb10991",
+    ("857951c9f20c0edf6a1e397d20afb3346f52715e862f3c7d142e5c2b2bd82dc6",
      "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
     ("319e99e8b0f555582cb9f9d67d634db74732871b5d322942f761aec476bff42b",
      "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
@@ -289,7 +291,7 @@ GOLDEN = [
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
-    ("9f5948f29043ebd863558be1a0df019bdeac8cbd9039dc814b1a474fbaf95d8c",
+    ("95e091c32bfc2b5e9f3d93604925073cb343ebd75afbed6b5f8880a034b8e2b9",
      "rates --preset bernoulli --n 4,8 --points 201"),
     ("9bc44141e4936dcede023780c3e8aef590e13451b99d7a999159081c37fa2467",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
@@ -330,11 +332,15 @@ def test_csv_timestamp_is_second_line(capsys):
     assert lines[1].startswith("# timestamp: ")
 
 
-def test_branch_cut_failure_is_numerical(capsys):
+def test_density_at_tiny_eta_matches_semicircle(capsys):
+    """At eta = 1e-16 the grid's outer points lie within rounding of the
+    real axis outside [-2, 2]; the semicircle transform has no cut there."""
     code = run(["convolve", "--preset", "semicircle", "--density",
                 "--eta", "1e-16", "--points", "11"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert code == 0
+    d = GriddedDistribution.from_csv(capsys.readouterr().out)
+    assert d.grid.size == 11
+    assert np.max(np.abs(d.density - semicircle_density(d.grid))) < 1e-12
 
 
 @pytest.mark.parametrize("flag, value", [("--metric", "foo"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.complexfn import cauchy, sqrt_cut
 from freeconv.errors import BranchCutError, DomainError
@@ -72,8 +73,55 @@ def test_cauchy_maps_to_lower_half_plane():
     rng = np.random.default_rng(13)
     z = rng.normal(size=100) + 1j * np.abs(rng.normal(size=100)) + 1e-6j
     z = np.append(z, -2e4 + 1j)  # far out, where Im G is tiny
+    # outside [-2, 2] at Im z far below the rounding of Re z, and on the
+    # support at the smallest Im z
+    z = np.append(z, [3 + 1e-15j, -3 + 1e-15j, 0.5 + 1e-300j])
     for mu in (Measure.semicircle(1.0), Measure.binomial(0.25)):
-        assert np.all(cauchy(mu, z).imag < 0)
+        g = cauchy(mu, z)
+        assert np.all(np.isfinite(g))
+        assert np.all(g.imag < 0)
+
+
+def test_cauchy_semicircle_of_tiny_variance_is_the_point_mass():
+    z = 0.5 + 1j
+    g = cauchy(Measure.semicircle(1e-310), z)
+    assert abs(g - 1.0 / z) <= 1e-15 * abs(1.0 / z)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cauchy_semicircle_accurate_near_the_edge(sign):
+    """Against a 50-digit reference, just outside the edge at 2."""
+    g = cauchy(Measure.semicircle(1.0), sign * 2.0000001 + 1e-12j)
+    ref = sign * 0.9996838222302851 - 1.58063889065096e-09j
+    assert abs(g - ref) <= 4e-16 * abs(ref)
+
+
+def _semicircle_point(log_var, log_im, edge, side, log_gap, re):
+    """(variance, z): z = sigma*w with Im w = 10^log_im and Re w either
+    within 10^log_gap of the edge +-2 or re."""
+    sigma = 10.0 ** (0.5 * log_var)
+    if edge:
+        re = side * (2.0 + np.copysign(10.0 ** log_gap, re))
+    return sigma * sigma, sigma * complex(re, 10.0 ** log_im)
+
+
+_semicircle_points = st.builds(
+    _semicircle_point, st.floats(-300.0, 300.0), st.floats(-15.0, 2.0),
+    st.integers(0, 2).map(lambda k: k == 0), st.sampled_from([1.0, -1.0]),
+    st.floats(-12.0, -2.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(point=_semicircle_points)
+def test_cauchy_semicircle_solves_its_quadratic(point):
+    """G solves variance G^2 - z G + 1 = 0 to rounding and lies in C-,
+    over variances from 1e-300 to 1e300 and points down to 1e-15 sigma
+    from the axis, a third of them within 1e-2 sigma of an edge."""
+    v, z = point
+    g = cauchy(Measure.semicircle(v), z)
+    assert np.isfinite(g) and g.imag < 0
+    scale = abs(v * g * g) + abs(z * g) + 1.0
+    assert abs(v * g * g - z * g + 1.0) <= 8.0 * np.finfo(float).eps * scale
 
 
 def test_cauchy_rejects_lower_half_plane():

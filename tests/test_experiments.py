@@ -214,8 +214,8 @@ def test_rate_experiment_validates_schedule():
 
 
 def test_nonid_experiment_states_ratio():
-    ms = [Measure.bernoulli(), Measure.binomial(0.3).dilate(1.5),
-          Measure.semicircle(0.8), Measure.bernoulli().dilate(0.7)] * 3
+    ms = [Measure.bernoulli(), Measure.binomial(0.3).scale(1.5),
+          Measure.semicircle(0.8), Measure.bernoulli().scale(0.7)] * 3
     out = nonid_experiment(ms, points=1001)
     bn = math.sqrt(sum(m.var for m in ms))
     assert out["B_n"] == pytest.approx(bn)

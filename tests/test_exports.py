@@ -21,6 +21,6 @@ def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-@pytest.mark.parametrize("name", ["to_json_dict", "from_json_dict"])
+@pytest.mark.parametrize("name", ["to_json_dict", "from_json_dict", "dilate"])
 def test_measure_json_helpers_are_folded(name):
     assert not hasattr(freeconv.Measure, name)

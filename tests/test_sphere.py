@@ -259,7 +259,9 @@ def test_vector_stats_power_sums():
     th = np.array([0.6, -0.8])
     st = vector_stats(th)
     assert st["max_abs"] == pytest.approx(0.8)
+    assert sorted(st["sum_abs_pow"]) == [3, 4]
     assert st["sum_abs_pow"][3] == pytest.approx(0.6**3 + 0.8**3)
+    assert st["sum_abs_pow"][4] == pytest.approx(0.6**4 + 0.8**4)
     assert st["sum_cubes"] == pytest.approx(0.6**3 - 0.8**3)
 
 
