@@ -95,6 +95,8 @@ def cmd_convolve(args) -> str:
     window = args.window
     if window is None:
         window = sum(m.support_radius for m in measures) + 1.0
+    elif not (window > 0 and math.isfinite(2.0 * window)):  # NaN fails too
+        raise DomainError("--window must be positive with a finite span")
     if args.density:
         return recover(lambda zs: solve(measures, zs, opts).G,
                        -window, window, points=args.points, eta=args.eta).to_csv()

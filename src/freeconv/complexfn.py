@@ -48,13 +48,6 @@ def sqrt_cut(z):
     return out if out.ndim else complex(out)
 
 
-def _check_upper(z):
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0.0):
-        raise DomainError("transform evaluation requires Im z > 0")
-    return z
-
-
 def _semicircle_g(z, variance):
     """Semicircle G at z in C+ for a variance (0 gives 1/z, an array
     broadcasts): 2/(z + sqrt(z - e) sqrt(z + e)), e = 2 sqrt(variance).
@@ -66,13 +59,16 @@ def _semicircle_g(z, variance):
 
 
 def cauchy(mu: Measure, z):
-    """Cauchy transform G_mu(z) = int 1/(z-t) dmu(t) for Im z > 0.
+    """Cauchy transform G_mu(z) = int 1/(z-t) dmu(t) for finite z with
+    Im z > 0.
 
     Atomic measures are summed exactly; a semicircle goes through
     _semicircle_g: principal roots meet no cut at tiny Im z, no z^2 is
     formed to overflow, and z plus a root near z does not cancel.
     """
-    z = _check_upper(z)
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z) & (z.imag > 0.0)):
+        raise DomainError("transform evaluation requires finite z with Im z > 0")
     if mu.kind == "atomic":
         out = np.zeros_like(z)
         for x, w in mu.atoms:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfDiscError
 from .measures import Measure
+from .sphere import as_weights
 
 DEFAULT_ORDER = 32
 
@@ -94,7 +95,7 @@ def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     Valid inside 0 < |z| < 1/(6 L max_i |theta_i|).
     """
     z = complex(z)
-    th = np.asarray(theta, dtype=float)
+    th = as_weights(theta)
     L = mu.support_radius
     tmax = float(np.max(np.abs(th)))
     if abs(z) == 0.0 or (L > 0.0 and tmax > 0.0 and abs(z) >= 1.0 / (6.0 * L * tmax)):

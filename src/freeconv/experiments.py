@@ -79,6 +79,8 @@ def fit_loglog_slope(ns, values, errors=None) -> tuple[float, float]:
     ns, values = ns[keep], values[keep]
     if ns.size < 3:
         raise DomainError("need at least 3 positive rows for a slope fit")
+    if np.unique(ns).size < 2:
+        raise DomainError("slope fit needs at least two distinct n values")
     w = np.ones_like(values)
     if errors is not None:
         err = np.asarray(errors, dtype=float)[keep]
@@ -86,10 +88,7 @@ def fit_loglog_slope(ns, values, errors=None) -> tuple[float, float]:
     x, y = np.log(ns), np.log(values)
     wm = lambda v: np.sum(w * v) / np.sum(w)
     xb, yb = wm(x), wm(y)
-    sxx = np.sum(w * (x - xb) ** 2)
-    if sxx == 0.0:
-        raise DomainError("slope fit needs at least two distinct n values")
-    slope = np.sum(w * (x - xb) * (y - yb)) / sxx
+    slope = np.sum(w * (x - xb) * (y - yb)) / np.sum(w * (x - xb) ** 2)
     intercept = yb - slope * xb
     resid = y - (intercept + slope * x)
     ss_res = np.sum(w * resid**2)

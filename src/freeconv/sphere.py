@@ -53,9 +53,11 @@ class WeightVector:
 
 
 def as_weights(theta) -> np.ndarray:
-    """The weights of a WeightVector or of any sequence, as a float array."""
-    return np.asarray(theta.theta if isinstance(theta, WeightVector) else theta,
-                      dtype=float)
+    """The weights of a WeightVector, or of any sequence checked as one
+    (on the unit sphere within 1e-12), as a float array."""
+    if not isinstance(theta, WeightVector):
+        theta = WeightVector(theta)
+    return theta.theta
 
 
 def _polar_gaussians(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -20,11 +20,6 @@ not on the step size, once it is below the tolerance or below the rounding
 level of the sums it is made of, 8 eps (|z| + |sum_i Z_i| + (n-1)|w|),
 whichever is larger: at large |z| or for hundreds of coordinates that
 level exceeds any fixed absolute tolerance.
-
-Points are independent, so a grid is solved in column tiles of about
-2^15 coordinate-points (512 KiB per complex block), one after another:
-the Newton temporaries stay in cache, and memory beyond the returned Z is
-a few tiles, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -114,30 +109,6 @@ def _make_evaluator(measures):
     return evaluate
 
 
-def _iterate(measures, counts, zs, opts: SolveOptions, Z):
-    """Newton on a (k, m) coordinate block, one point per column.
-
-    counts[k] is the multiplicity of measures[k] among the n = sum(counts)
-    system coordinates.  Points are independent, so the columns are solved
-    one tile of max(1, _TILE // k) points after another, each tile's block
-    small enough to stay in cache; Z and the per-point outputs are filled
-    tile by tile.
-    """
-    m = zs.shape[0]
-    c = np.asarray(counts, dtype=float)
-    evaluate = _make_evaluator(measures)
-    F0 = np.empty(m, dtype=complex)
-    res = np.empty(m)
-    tol = np.empty(m)
-    iterations = np.zeros(m, dtype=int)
-    width = max(1, _TILE // len(measures))
-    for lo in range(0, m, width):
-        t = slice(lo, lo + width)
-        _newton(evaluate, c, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
-                iterations[t])
-    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
-
-
 def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
     """Newton steps on one tile until every point converges or max_iters;
     writes Z and the per-point outputs in place.  Converged points leave
@@ -204,34 +175,56 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     """Solve the subordination system simultaneously at every point of zs.
 
     Returns the GridSolution (Z, F, G, residual, iterations, converged)
-    with Z of shape (n, m); points take Newton steps independently.
-    ``init`` (shape (n, m), Im Z_i >= Im z) replaces the free-CLT start.
-    Duplicate measures share a coordinate internally: the fixed point is
-    symmetric in identical coordinates and identical measures get
-    identical starts, so the collapsed system has the same solution.
+    with Z of shape (n, m).  Every z must be finite with Im z > 0.
+    ``init`` replaces the free-CLT start: shape (n, m), or (n,) for one
+    point, finite, with Im Z_i >= Im z.  Without it, duplicate measures
+    share a coordinate: the fixed point is symmetric in identical
+    coordinates and identical measures get identical starts, so the
+    collapsed system has the same solution.
+
+    Points are independent, so the columns are solved in tiles of about
+    2^15 coordinate-points (512 KiB per complex block), one after another:
+    the Newton temporaries stay in cache, and memory beyond the returned Z
+    is a few tiles, whatever the grid size.
     """
     measures = list(measures)
     n = len(measures)
     if n == 0:
         raise DomainError("need at least one measure")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if np.any(zs.imag <= 0):
-        raise DomainError("all evaluation points must satisfy Im z > 0")
+    if not np.all(np.isfinite(zs) & (zs.imag > 0)):
+        raise DomainError("all evaluation points must be finite with Im z > 0")
+    m = zs.shape[0]
 
     if init is None:
         index = {}  # first-occurrence order; Measure is frozen, so hashable
         expand = [index.setdefault(mu, len(index)) for mu in measures]
-        if len(index) < n:
-            counts = np.bincount(expand)
-            Z0 = _clt_start(list(index), counts, zs)
-            sol = _iterate(list(index), counts, zs, opts, Z0)
-            return sol._replace(Z=sol.Z[expand])
-        Z0 = _clt_start(measures, [1] * n, zs)
+        coords, counts = list(index), np.bincount(expand)
+        Z = _clt_start(coords, counts, zs)
     else:
-        Z0 = np.array(init, dtype=complex)
-        if not np.all(Z0.imag >= zs.imag):  # NaN fails too
-            raise DomainError("init must satisfy Im Z_i >= Im z")
-    return _iterate(measures, [1] * n, zs, opts, Z0)
+        coords, counts = measures, np.ones(n)
+        Z = np.array(init, dtype=complex)
+        if Z.shape == (n,) and m == 1:
+            Z = Z.reshape(n, 1)
+        if Z.shape != (n, m) or not np.all(np.isfinite(Z)
+                                           & (Z.imag >= zs.imag)):
+            raise DomainError(f"init must be finite, of shape ({n}, {m}), "
+                              "with Im Z_i >= Im z")
+
+    evaluate = _make_evaluator(coords)
+    c = np.asarray(counts, dtype=float)
+    F0 = np.empty(m, dtype=complex)
+    res = np.empty(m)
+    tol = np.empty(m)
+    iterations = np.zeros(m, dtype=int)
+    width = max(1, _TILE // len(coords))
+    for lo in range(0, m, width):
+        t = slice(lo, lo + width)
+        _newton(evaluate, c, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
+                iterations[t])
+    if len(coords) < n:
+        Z = Z[expand]
+    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
@@ -244,20 +237,15 @@ def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
     neighbouring solution (warm start) and the result holds that point's
     entries: Z of shape (n,), the other fields Python scalars.
     """
-    measures = list(measures)
-    scalar = np.ndim(z) == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if scalar and init is not None:
-        init = np.asarray(init, dtype=complex).reshape(len(measures), 1)
-    sol = solve_grid(measures, zs, opts, init)
+    sol = solve_grid(measures, z, opts, init)
     if not np.all(sol.converged):
         bad = int(np.argmax(~sol.converged))
         res, iters = float(sol.residual[bad]), int(sol.iterations[bad])
         raise IterationError(
-            f"subordination failed to converge at z={complex(zs[bad])} (index {bad}): "
-            f"residual {res:.3e} after {iters} iterations",
+            f"subordination failed to converge at z={complex(np.ravel(z)[bad])} "
+            f"(index {bad}): residual {res:.3e} after {iters} iterations",
             residual=res, iterations=iters)
-    if not scalar:
+    if np.ndim(z):
         return sol
     return GridSolution(sol.Z[:, 0], *(a[0].item() for a in sol[1:]))
 

@@ -259,6 +259,16 @@ def test_seed_outside_key_range_is_config_error(cmd, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["inf", "nan", "1e308", "-1", "0"])
+def test_bad_window_is_config_error(tmp_path, capsys, window):
+    out = tmp_path / "never.csv"
+    code = run(["convolve", "--preset", "bernoulli", "--window", window,
+                "--output", str(out)])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_damping_flag_is_rejected():
     assert run(["convolve", "--preset", "bernoulli", "--damping", "0.5",
                 "--output", "-"]) == 1

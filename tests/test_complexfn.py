@@ -129,6 +129,14 @@ def test_cauchy_rejects_lower_half_plane():
         cauchy(Measure.bernoulli(), np.array([1.0 - 1j]))
 
 
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(1.0, np.nan),
+                               complex(np.inf, 1.0), complex(0.0, np.inf)])
+@pytest.mark.parametrize("mu", [Measure.bernoulli(), Measure.semicircle(1.0)])
+def test_cauchy_rejects_non_finite_points(mu, z):
+    with pytest.raises(DomainError):
+        cauchy(mu, np.array([0.5j, z]))
+
+
 def test_f_transform_dissipative():
     """Im F(z) >= Im z for reciprocal Cauchy transforms F = 1/G."""
     rng = np.random.default_rng(14)

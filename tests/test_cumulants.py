@@ -8,6 +8,7 @@ from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
                                 phi_theta)
 from freeconv.errors import DomainError, OutOfDiscError
 from freeconv.measures import Measure
+from freeconv.sphere import WeightVector
 
 from oracles import moments_from_cumulants_nc
 
@@ -91,6 +92,16 @@ def test_k_series_outside_disc_raises():
     mu = Measure.bernoulli()
     with pytest.raises(OutOfDiscError):
         phi_theta(mu, [1.0], 0.5 + 0.0j)
+
+
+def test_phi_theta_takes_weights_through_the_unit_sphere_check():
+    """A WeightVector gives the same value as its array; weights off the
+    unit sphere are rejected."""
+    mu, z = Measure.binomial(0.25), 0.05 + 0.02j
+    th = WeightVector.uniform(4)
+    assert phi_theta(mu, th, z) == phi_theta(mu, th.theta, z)
+    with pytest.raises(DomainError):
+        phi_theta(mu, [0.5, 0.5], z)
 
 
 def test_phi_theta_near_identity_bound():

@@ -50,6 +50,21 @@ def test_fit_loglog_slope_skips_nonpositive():
         fit_loglog_slope([2, 4], [1.0, 0.5])
 
 
+@pytest.mark.parametrize("rows, seed", [(3, 0), (4, 1), (5, 2), (7, 3)])
+def test_fit_loglog_slope_rejects_one_weighted_n(rows, seed):
+    """Error weights round the weighted mean of equal log n off it, so a
+    single n must be rejected by counting distinct n, not by sxx == 0."""
+    rng = np.random.default_rng(seed)
+    with pytest.raises(DomainError, match="two distinct n"):
+        fit_loglog_slope([16] * rows, rng.uniform(0.01, 0.02, rows),
+                         rng.uniform(0.002, 0.003, rows))
+
+
+def test_theta_off_the_unit_sphere_is_rejected():
+    with pytest.raises(DomainError):
+        superconvergence_radius(Measure.bernoulli(), [2.0, 2.0])
+
+
 def test_superconvergence_radius_uniform_bernoulli():
     """Uniform weights on n = 1024 coordinates: 384/1024 = 0.375, and the
     odd-moment term vanishes for the symmetric two-point law."""

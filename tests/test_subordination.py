@@ -102,13 +102,16 @@ def test_scalar_solve_is_column_zero_of_grid_solve():
     ms = [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64),
           Measure.bernoulli().scale(0.6)]
     z = 0.35 + 0.07j
-    point, grid = solve(ms, z), solve(ms, [z])
-    assert type(point.G) is complex and type(point.F) is complex
-    assert type(point.iterations) is int and point.converged is True
-    assert point.Z.shape == (3,)
-    assert np.array_equal(point.Z, grid.Z[:, 0])
-    for name in ("F", "G", "residual", "iterations", "converged"):
-        assert getattr(point, name) == getattr(grid, name)[0]
+    init = solve(ms, 0.3 + 0.07j).Z
+    for point, grid in ((solve(ms, z), solve(ms, [z])),
+                        (solve(ms, z, init=init),
+                         solve_grid(ms, [z], init=init[:, None]))):
+        assert type(point.G) is complex and type(point.F) is complex
+        assert type(point.iterations) is int and point.converged is True
+        assert point.Z.shape == (3,)
+        assert np.array_equal(point.Z, grid.Z[:, 0])
+        for name in ("F", "G", "residual", "iterations", "converged"):
+            assert getattr(point, name) == getattr(grid, name)[0]
 
 
 def test_reciprocal_subordination_relation():
@@ -132,6 +135,24 @@ def test_lower_half_plane_rejected():
         solve([Measure.bernoulli()], 1.0 - 0.5j)
     with pytest.raises(DomainError):
         solve_grid([Measure.bernoulli()], [1.0 + 0.0j])
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(1.0, np.nan),
+                               complex(np.inf, 1.0)])
+def test_non_finite_points_rejected(z):
+    with pytest.raises(DomainError):
+        solve_grid([Measure.bernoulli()] * 2, [0.5j, z])
+
+
+@pytest.mark.parametrize("ms, zs, init", [
+    ([Measure.bernoulli()] * 2, [1j, 2j], np.full((3, 1), 2j)),
+    ([Measure.bernoulli()] * 3, [1j, 2j, 3j], np.full((2, 2), 3j)),
+    ([Measure.bernoulli()] * 2, [1j, 2j], [[2j, complex(np.inf, 2.0)],
+                                           [2j, 2j]]),
+], ids=["rows", "measures", "inf"])
+def test_init_of_wrong_shape_or_not_finite_rejected(ms, zs, init):
+    with pytest.raises(DomainError):
+        solve_grid(ms, zs, init=init)
 
 
 def test_empty_measure_list_rejected():
