@@ -87,6 +87,14 @@ def kargin_bound_check(mu: Measure, order: int) -> list[dict]:
     return report
 
 
+def _power_sums(th, order: int) -> list[float]:
+    """sum_i th_i^m for m = 1..order in one pass, bit for bit the per-m
+    float(np.sum(th**m)): numpy takes th**2 as a square, not pow."""
+    powers = th ** np.arange(1.0, order + 1.0)[:, None]
+    powers[1:2] = np.square(th)
+    return powers.sum(axis=1).tolist()
+
+
 def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     """Truncated series of sum_i K_{D_{theta_i} mu}(z) - (n-1)/z.
 
@@ -103,7 +111,7 @@ def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     kappa = measure_cumulants(mu, order)
     acc = 1.0 / z
     zp = 1.0 + 0j
-    for m in range(1, order + 1):
-        acc += kappa[m - 1] * float(np.sum(th**m)) * zp
+    for k, s in zip(kappa, _power_sums(th, order)):
+        acc += k * s * zp
         zp *= z
     return acc

@@ -19,12 +19,16 @@ leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
 not on the step size, once it is below the tolerance or below the rounding
 level of the sums it is made of, 8 eps (|z| + |sum_i Z_i| + (n-1)|w|),
 whichever is larger: at large |z| or for hundreds of coordinates that
-level exceeds any fixed absolute tolerance.
+level exceeds any fixed absolute tolerance.  A point's outputs are
+written once, when it leaves the Newton loop.  What depends on the
+measures alone (the dedupe, the start's mean and variance terms, the
+stacked atom arrays) is built once per tuple of measures and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,36 +73,39 @@ def _make_evaluator(measures):
     _semicircle_g block against a column of their variances (F' =
     F/(2F - Z), from F^2 - Z F + variance = 0).
     """
-    atomic = [i for i, mu in enumerate(measures) if mu.kind == "atomic"]
-    semi = [i for i, mu in enumerate(measures) if mu.kind != "atomic"]
-    V = np.array([[measures[i].variance_param] for i in semi])  # (s, 1)
-    na = max((len(measures[i].atoms) for i in atomic), default=0)
+    is_atomic = np.array([mu.kind == "atomic" for mu in measures])
+    # row indexers, slices (views, not copies) where the rows are contiguous
+    atomic, semi = (slice(i[0], i[-1] + 1) if i.size and i[-1] - i[0] < i.size
+                    else i for i in map(np.flatnonzero, (is_atomic, ~is_atomic)))
+    atoms = [mu.atoms for mu in measures if mu.kind == "atomic"]
+    V = np.array([[mu.variance_param] for mu in measures if mu.kind != "atomic"])
+    na = max(map(len, atoms), default=0)
     # complex, as numpy would cast them at every use
-    X = np.zeros((na, len(atomic), 1), dtype=complex)
-    W = np.zeros((na, len(atomic), 1), dtype=complex)  # zero weight pads
-    for a, i in enumerate(atomic):
-        for j, (x, w) in enumerate(measures[i].atoms):
+    X = np.zeros((na, len(atoms), 1), dtype=complex)
+    W = np.zeros((na, len(atoms), 1), dtype=complex)  # zero weight pads
+    for a, pairs in enumerate(atoms):
+        for j, (x, w) in enumerate(pairs):
             X[j, a, 0], W[j, a, 0] = x, w
+    XW = list(zip(X, W))
 
     def atomic_part(Za):
-        F = np.zeros_like(Za)
-        dF = np.zeros_like(Za)
-        for x, w in zip(X, W):
+        F = dF = None  # the first atom starts both sums: no zero start
+        for x, w in XW:
             q = np.reciprocal(Za - x)
-            F += w * q
+            F = w * q if F is None else np.add(F, w * q, out=F)
             q *= q
-            dF += w * q
+            dF = w * q if dF is None else np.add(dF, w * q, out=dF)
         np.reciprocal(F, out=F)
         dF *= F
         dF *= F
         return F, dF
 
     def evaluate(Z):
-        if not semi:
+        if not V.size:
             return atomic_part(Z)
         F = np.empty_like(Z)
         dF = np.empty_like(Z)
-        if atomic:
+        if atoms:
             F[atomic], dF[atomic] = atomic_part(Z[atomic])
         Zs = Z[semi]
         Fs = 1.0 / _semicircle_g(Zs, V)
@@ -109,11 +116,10 @@ def _make_evaluator(measures):
     return evaluate
 
 
-def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
+def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     """Newton steps on one tile until every point converges or max_iters;
-    writes Z and the per-point outputs in place.  Converged points leave
-    the working set, so late steps only touch the stragglers."""
-    n = int(np.sum(c))
+    writes Z and the per-point outputs in place as points retire.  Converged
+    points leave the working set, so late steps only touch the stragglers."""
     idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
 
     for step in range(opts.max_iters + 1):
@@ -121,20 +127,22 @@ def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
         w = c @ F / n
         s = c @ Zw
         sz = s - zw
-        r = sz - (n - 1) * w
-        rw = np.maximum(np.max(np.abs(F - F[0]), axis=0),
+        rw = np.maximum(np.abs(F - F[0]).max(axis=0),
                         np.abs(sz - (n - 1) * F[0]))
         tw = np.maximum(opts.tol, _ROUNDING * (np.abs(zw) + np.abs(s)
                                                 + (n - 1) * np.abs(w)))
-        F0[idx], res[idx], tol[idx] = F[0], rw, tw
         live = rw > tw
-        if step == opts.max_iters or not np.any(live):
-            Z[:, idx] = Zw
+        if step == opts.max_iters or not live.any():
+            Z[:, idx], F0[idx], res[idx], tol[idx], iterations[idx] = (
+                Zw, F[0], rw, tw, step)
             return
-        if not np.all(live):
-            Z[:, idx[~live]] = Zw[:, ~live]
+        if not live.all():
+            out, done = idx[~live], ~live
+            Z[:, out], F0[out], res[out], tol[out], iterations[out] = (
+                Zw[:, done], F[0, done], rw[done], tw[done], step)
             idx, zw, Zw = idx[live], zw[live], Zw[:, live]
-            F, dF, w, r = F[:, live], dF[:, live], w[live], r[live]
+            F, dF, w, sz = F[:, live], dF[:, live], w[live], sz[live]
+        r = sz - (n - 1) * w
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = np.reciprocal(dF, out=dF)  # 1/F_i'
             e = F - w
@@ -143,8 +151,9 @@ def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
             Zn = dw * inv  # Z_i + (dw - e_i)/F_i'
             Zn -= e
             Zn += Zw
-        bad = ~np.all(np.isfinite(Zn) & (Zn.imag >= zw.imag), axis=0)
-        if np.any(bad):
+        ok = (np.isfinite(Zn) & (Zn.imag >= zw.imag)).all(axis=0)
+        if not ok.all():
+            bad = ~ok
             delta = F[:, bad] - Zw[:, bad]  # Im(F_j(v) - v) >= 0
             sweep = zw[bad] + c @ delta - delta
             # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
@@ -152,22 +161,25 @@ def _newton(evaluate, c, zs, opts: SolveOptions, Z, F0, res, tol, iterations):
             Zn[:, bad] = sweep
         del F, dF, inv, e  # free the block before the next evaluation
         Zw = Zn
-        iterations[idx] += 1
 
 
-def _clt_start(measures, counts, zs):
-    """The free-CLT start of the module docstring as a (k, m) block, m and
-    v summed over the multiplicities counts.  _semicircle_g has Im G <= 0
-    exactly, so Im Z_i >= Im z holds with no clamp; v = 0 (point masses
-    only) needs no branch, as its G term is multiplied by v - v_i = 0."""
-    mi = np.array([mu.mean for mu in measures])
+@lru_cache(maxsize=32)
+def _setup(measures):
+    """A solve's setup without init, built once per tuple of measures: each
+    measure's coordinate (None if none collapsed), complex multiplicities
+    (as matmul casts them), the evaluator and the free-CLT start's terms (m,
+    v summed over the multiplicities; Im _semicircle_g <= 0 exactly, so Im
+    Z_i >= Im z needs no clamp; v = 0 needs no branch: v - v_i = 0)."""
+    index = {}  # first-occurrence order; Measure is frozen, so hashable
+    expand = [index.setdefault(mu, len(index)) for mu in measures]
+    coords, counts = list(index), np.bincount(expand)
+    mi = np.array([mu.mean for mu in coords])
     # moment(2) - mean^2 can round below 0 for atoms far from the origin
-    vi = np.array([max(mu.var, 0.0) for mu in measures])
+    vi = np.array([max(mu.var, 0.0) for mu in coords])
     mean, var = np.dot(counts, mi), np.dot(counts, vi)
-    Z0 = np.multiply((vi - var)[:, None], _semicircle_g(zs - mean, var))
-    Z0 += zs
-    Z0 -= (mean - mi)[:, None]
-    return Z0
+    return (expand if len(coords) < len(measures) else None,
+            counts.astype(complex), _make_evaluator(coords),
+            ((vi - var)[:, None], mean, var, (mean - mi)[:, None]))
 
 
 def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
@@ -175,34 +187,36 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     """Solve the subordination system simultaneously at every point of zs.
 
     Returns the GridSolution (Z, F, G, residual, iterations, converged)
-    with Z of shape (n, m).  Every z must be finite with Im z > 0.
-    ``init`` replaces the free-CLT start: shape (n, m), or (n,) for one
-    point, finite, with Im Z_i >= Im z.  Without it, duplicate measures
-    share a coordinate: the fixed point is symmetric in identical
-    coordinates and identical measures get identical starts, so the
-    collapsed system has the same solution.
+    with Z of shape (n, m).  zs is a point or a 1-D array of points, each
+    finite with Im z > 0.  ``init`` replaces the free-CLT start: shape
+    (n, m), or (n,) for one point, finite, with Im Z_i >= Im z.  Without
+    it, duplicate measures share a coordinate: the fixed point is symmetric
+    in identical coordinates and identical measures get identical starts,
+    so the collapsed system has the same solution.
 
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block), one after another:
     the Newton temporaries stay in cache, and memory beyond the returned Z
     is a few tiles, whatever the grid size.
     """
-    measures = list(measures)
+    measures = tuple(measures)
     n = len(measures)
     if n == 0:
         raise DomainError("need at least one measure")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if not np.all(np.isfinite(zs) & (zs.imag > 0)):
+    if zs.ndim != 1:
+        raise DomainError(f"points must be a scalar or 1-D, got shape {zs.shape}")
+    if not (np.isfinite(zs) & (zs.imag > 0)).all():
         raise DomainError("all evaluation points must be finite with Im z > 0")
     m = zs.shape[0]
 
     if init is None:
-        index = {}  # first-occurrence order; Measure is frozen, so hashable
-        expand = [index.setdefault(mu, len(index)) for mu in measures]
-        coords, counts = list(index), np.bincount(expand)
-        Z = _clt_start(coords, counts, zs)
+        expand, c, evaluate, (scale, mean, var, shift) = _setup(measures)
+        Z = np.multiply(scale, _semicircle_g(zs - mean, var))  # free-CLT start
+        Z += zs
+        Z -= shift
     else:
-        coords, counts = measures, np.ones(n)
+        expand, c, evaluate = None, np.ones(n, complex), _make_evaluator(measures)
         Z = np.array(init, dtype=complex)
         if Z.shape == (n,) and m == 1:
             Z = Z.reshape(n, 1)
@@ -211,18 +225,16 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
             raise DomainError(f"init must be finite, of shape ({n}, {m}), "
                               "with Im Z_i >= Im z")
 
-    evaluate = _make_evaluator(coords)
-    c = np.asarray(counts, dtype=float)
     F0 = np.empty(m, dtype=complex)
     res = np.empty(m)
     tol = np.empty(m)
     iterations = np.zeros(m, dtype=int)
-    width = max(1, _TILE // len(coords))
+    width = max(1, _TILE // c.size)
     for lo in range(0, m, width):
         t = slice(lo, lo + width)
-        _newton(evaluate, c, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
+        _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
                 iterations[t])
-    if len(coords) < n:
+    if expand is not None:
         Z = Z[expand]
     return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
@@ -238,7 +250,7 @@ def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
     entries: Z of shape (n,), the other fields Python scalars.
     """
     sol = solve_grid(measures, z, opts, init)
-    if not np.all(sol.converged):
+    if not sol.converged.all():
         bad = int(np.argmax(~sol.converged))
         res, iters = float(sol.residual[bad]), int(sol.iterations[bad])
         raise IterationError(

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
-                                measure_cumulants, moments_to_cumulants,
-                                phi_theta)
+from freeconv.cumulants import (_power_sums, cumulants_to_moments,
+                                kargin_bound_check, measure_cumulants,
+                                moments_to_cumulants, phi_theta)
 from freeconv.errors import DomainError, OutOfDiscError
 from freeconv.measures import Measure
-from freeconv.sphere import WeightVector
+from freeconv.sphere import WeightVector, sample
 
 from oracles import moments_from_cumulants_nc
 
@@ -124,3 +124,23 @@ def test_phi_theta_near_identity_bound():
         bound = (128.0 * L**4 * abs(z) ** 3 * np.sum(th**4)
                  + abs(m3 * np.sum(th**3)) * abs(z) ** 2)
         assert abs(val - 1.0 / z - z) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (32, 21), (256, 8), (1024, 37)])
+def test_phi_theta_power_sums_are_bit_identical_to_per_m_sums(n, seed):
+    """The one-pass power sums and phi_theta equal the per-m
+    float(np.sum(th**m)) form bit for bit.  At n > 1 these seeds are ones
+    where pow(th, 2), unlike th**2 (numpy's square), moves the last bit of
+    the m = 2 sum."""
+    mu, th = Measure.binomial(0.25), sample(n, seed).theta
+    per_m = [float(np.sum(th**m)) for m in range(1, 33)]
+    assert _power_sums(th, 32) == per_m
+    kappa = measure_cumulants(mu, 32)
+    rng = np.random.default_rng(seed)
+    radius = 1.0 / (6.0 * mu.support_radius * np.max(np.abs(th)))
+    for z in radius * rng.uniform(0.1, 0.9, 5) * np.exp(2j * np.pi * rng.random(5)):
+        acc, zp = 1.0 / complex(z), 1.0 + 0j
+        for k, s in zip(kappa, per_m):
+            acc += k * s * zp
+            zp *= complex(z)
+        assert phi_theta(mu, th, z) == acc

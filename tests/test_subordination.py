@@ -9,8 +9,8 @@ from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
-from freeconv.subordination import (_TILE, SolveOptions, solve, solve_grid,
-                                    weighted_summands)
+from freeconv.subordination import (_TILE, SolveOptions, _setup, solve,
+                                    solve_grid, weighted_summands)
 
 from oracles import binomial_convolution_g
 
@@ -153,6 +153,15 @@ def test_non_finite_points_rejected(z):
 def test_init_of_wrong_shape_or_not_finite_rejected(ms, zs, init):
     with pytest.raises(DomainError):
         solve_grid(ms, zs, init=init)
+
+
+@pytest.mark.parametrize("entry", [solve, solve_grid])
+def test_points_of_two_dimensions_rejected(entry):
+    """zs must be a point or a 1-D array; a 2-D one is named, not passed
+    on to fail inside the Newton loop."""
+    zs = [[0.5 + 1j, 1 + 1j], [0.2 + 1j, 0.3 + 1j]]
+    with pytest.raises(DomainError, match=r"shape \(2, 2\)"):
+        entry([Measure.bernoulli()] * 2, zs)
 
 
 def test_empty_measure_list_rejected():
@@ -384,6 +393,53 @@ def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
     so its bytes are pinned to those of the untiled solver."""
     assert m <= _TILE // len(ms)
     assert _digest(solve_grid(ms, np.linspace(-3, 3, m) + 1e-3j)) == digest
+
+
+def _mixed_pair():
+    return [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)]
+
+
+def test_equal_measures_share_a_setup_and_the_bytes():
+    """Equal but distinct Measure objects hit the same cached setup and
+    give the same bytes as the first call."""
+    zs = np.linspace(-2, 2, 7) + 0.05j
+    _setup.cache_clear()
+    first = _digest(solve_grid(_mixed_pair(), zs))
+    second = _digest(solve_grid(_mixed_pair(), zs))
+    assert second == first
+    assert _setup.cache_info().hits == 1
+
+
+def test_setup_cache_leaves_init_calls_alone():
+    """Calls with and without init, interleaved, each give the bytes of
+    the same call made on an empty cache."""
+    ms, zs = _mixed_pair() * 2, np.linspace(-2, 2, 5) + 0.1j
+    init = np.tile(zs, (len(ms), 1))
+    alone = []
+    for kw in ({}, {"init": init}):
+        _setup.cache_clear()
+        alone.append(_digest(solve_grid(ms, zs, **kw)))
+    for _ in range(2):
+        assert _digest(solve_grid(ms, zs, init=init)) == alone[1]
+        assert _digest(solve_grid(ms, zs)) == alone[0]
+
+
+def test_setup_cache_is_bounded():
+    size = _setup.cache_info().maxsize
+    for k in range(size + 5):
+        solve([Measure.bernoulli().scale(0.1 + 0.01 * k)], 1j)
+    assert _setup.cache_info().currsize <= size
+
+
+def test_scalar_solve_step_count_on_strip_nodes():
+    """One point at a time on Delta-tilde strip nodes (the u grid of
+    delta_tilde at eps = 0.2, v in [a, 1] at a = 0.05): cheaper passes must
+    not hide extra steps.  The total is pinned to the current solver."""
+    ms = _mixed_pair()
+    us, vs = np.linspace(-1.9, 1.9, 9), np.linspace(0.05, 1.0, 8)
+    iters = [solve(ms, u + 1j * v).iterations for u in us for v in vs]
+    assert max(iters) <= 4
+    assert sum(iters) == 228
 
 
 def test_grid_memory_stays_near_output_size():
