@@ -15,7 +15,7 @@ from .experiments import (FunctionalEqTerms, RateReport, RateRow,
                           nonid_experiment, rate_experiment,
                           recover_weighted_sum, superconvergence_radius,
                           support_experiment)
-from .inversion import (GriddedDistribution, bai_integrals, delta_eps,
+from .inversion import (GriddedDistribution, delta_eps,
                         delta_tilde, kolmogorov, levy, recover)
 from .measures import (Measure, arcsine_cdf, semicircle_cdf,
                        semicircle_density)
@@ -30,7 +30,7 @@ __all__ = [
     "FreeconvError", "FunctionalEqTerms", "GridSolution",
     "GriddedDistribution", "InversionError", "IterationError", "Measure",
     "OutOfDiscError", "RateReport", "RateRow", "SolveOptions",
-    "SupportReport", "WeightVector", "arcsine_cdf", "bai_integrals", "cauchy",
+    "SupportReport", "WeightVector", "arcsine_cdf", "cauchy",
     "concentration_report", "cubic_roots", "cumulants_to_moments",
     "delta_eps", "delta_tilde", "detect_support", "fit_loglog_slope",
     "functional_residuals", "kargin_bound_check", "kolmogorov", "levy",

@@ -28,7 +28,7 @@ from .experiments import (_weights_for, functional_residuals, rate_experiment,
 from .inversion import (GriddedDistribution, csv_table, delta_eps, kolmogorov,
                         levy, recover)
 from .measures import Measure, arcsine_cdf
-from .sphere import concentration_report, sample, vector_stats
+from .sphere import concentration_report, sample_matrix, vector_stats
 from .subordination import DEFAULT_OPTIONS, SolveOptions, solve
 
 CONFIG_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
@@ -169,7 +169,7 @@ def cmd_residuals(args) -> str:
 
 def cmd_sphere(args) -> str:
     # with no rows, nothing is drawn and n is not checked
-    thetas = sample(args.n, args.seed, np.arange(args.count)) if args.count > 0 else []
+    thetas = sample_matrix(args.n, args.count, args.seed) if args.count else []
     stats = map(vector_stats, thetas)
     return csv_table(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"],
                      ((i, st["max_abs"], st["sum_abs_pow"][3],

@@ -129,21 +129,20 @@ def _weights_for(n: int, weight_mode: str, seed: int, rep: int) -> WeightVector:
     raise DomainError(f"unknown weight mode {weight_mode!r}")
 
 
-def _window_radius(mu: Measure, theta: np.ndarray) -> float:
-    L = mu.support_radius
-    hard = L * float(np.sum(np.abs(theta)))
-    soft = 2.0 + min(5.0 * L**3 * float(np.sum(np.abs(theta) ** 3)), 1.5)
-    return min(hard, soft) + 1.0
+def _window_radius(measures) -> float:
+    """Half-width of the recovery window for a standardized free sum, from
+    the summands' support radii r_i: min(sum r_i, 2 + min(5 sum r_i^3, 1.5))
+    + 1.  sum r_i bounds the support outright; 2 + 5 sum r_i^3 is Kargin's
+    enclosure (support_experiment's bound_kargin), capped at 3.5."""
+    r = np.array([m.support_radius for m in measures])
+    return min(float(np.sum(r)), 2.0 + min(5.0 * float(np.sum(r**3)), 1.5)) + 1.0
 
 
-def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
-                         points: int = DEFAULT_POINTS,
-                         opts: SolveOptions = DEFAULT_OPTIONS,
-                         window: float | None = None):
-    """Recover the eta-smoothed law of sum_i theta_i X_i plus solver stats."""
-    th = as_weights(theta)
-    measures = weighted_summands(mu, th)
-    R = _window_radius(mu, th) if window is None else float(window)
+def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
+                 window: float | None = None):
+    """The eta-smoothed law of the free sum of the measures on [-R, R],
+    R = window or _window_radius, plus solver stats."""
+    R = _window_radius(measures) if window is None else float(window)
     stats = {"max_iterations": 0}
 
     def g_eval(zs):
@@ -154,6 +153,15 @@ def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
 
     dist = recover(g_eval, -R, R, points=points, eta=eta)
     return dist, stats
+
+
+def recover_weighted_sum(mu: Measure, theta, eta: float = DEFAULT_ETA,
+                         points: int = DEFAULT_POINTS,
+                         opts: SolveOptions = DEFAULT_OPTIONS,
+                         window: float | None = None):
+    """Recover the eta-smoothed law of sum_i theta_i X_i plus solver stats."""
+    return _recover_sum(weighted_summands(mu, as_weights(theta)), eta, points,
+                        opts, window)
 
 
 def _semicircle_smoothed(grid_like: GriddedDistribution) -> GriddedDistribution:
@@ -244,6 +252,8 @@ def nonid_experiment(measures, eta: float = DEFAULT_ETA,
     Normalizes by 1/B_n with B_n = sqrt(sum of variances), convolves, and
     reports the Kolmogorov distance to the semicircle law along with the
     Lyapunov-type ratio L_n = sum T_i^3 / B_n^3 (T_i = support radius).
+    The recovery is recover_weighted_sum's, window rule included, so
+    weighted_summands(mu, theta) gives rate_experiment's delta.
     """
     measures = list(measures)
     for m in measures:
@@ -253,10 +263,8 @@ def nonid_experiment(measures, eta: float = DEFAULT_ETA,
             raise DomainError("every input measure must have mean zero")
     bn = math.sqrt(sum(m.var for m in measures))
     ln = sum(m.support_radius**3 for m in measures) / bn**3
-    scaled = [m.scale(1.0 / bn) for m in measures]
-    R = min(sum(m.support_radius for m in scaled), 3.5) + 1.0
-    dist = recover(lambda zs: solve(scaled, zs, opts).G, -R, R,
-                   points=points, eta=eta)
+    dist, _ = _recover_sum([m.scale(1.0 / bn) for m in measures], eta,
+                           points, opts)
     ref = _semicircle_smoothed(dist)
     d = kolmogorov(dist, ref)
     return {"count": len(measures), "B_n": bn, "L_n": ln,

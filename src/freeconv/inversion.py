@@ -9,9 +9,9 @@ supplied, in which case that side is exact.  The Kolmogorov, Levy and
 Delta_eps distances are exact, in one pass, for the piecewise-linear CDFs
 on one comparison grid: the union of the inputs' grids, holding every atom
 and its left neighbour, so sups over jumps are exact.  The strip
-functional of Bai's smoothing inequality and its line integral are
-QUADPACK integrals (scipy.integrate.quad) to a 1e-9 absolute tolerance; a
-missed tolerance raises InversionError.
+functional of Bai's smoothing inequality takes its v-integrals by QUADPACK
+(scipy.integrate.quad) to a 1e-9 absolute tolerance; a missed tolerance
+raises InversionError.
 """
 
 from __future__ import annotations
@@ -188,44 +188,25 @@ def delta_eps(a, b, eps: float) -> float:
     return float(np.max(np.abs(d - d[0])))
 
 
-def _integral(f, lo: float, hi: float, where: str) -> float:
-    """QUADPACK integral of f over [lo, hi] (either end may be infinite) to
-    the absolute tolerance _QUAD_TOL; raises InversionError naming ``where``
-    when quad reports that it missed the tolerance."""
-    from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
-
-    val, err, _, *warning = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=0.0,
-                                 full_output=1)
-    if warning:
-        raise InversionError(f"quadrature at {where} missed its {_QUAD_TOL:g} "
-                             f"tolerance: error estimate {err:.3e}")
-    return val
-
-
 def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
-    """Strip functional: sup_u int_a^1 |G_a - G_b| dv + a + eps^{3/2}."""
+    """Strip functional: sup_u int_a^1 |G_a - G_b| dv + a + eps^{3/2}, over
+    u_points u in [-2 + eps/2, 2 - eps/2].  Each v-integral is QUADPACK's to
+    the absolute tolerance _QUAD_TOL; a miss raises InversionError naming u."""
     if not (0.0 < a < 1.0):
         raise DomainError("a must be in (0, 1)")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must be in (0, 1)")
-    us = np.linspace(-2.0 + eps / 2.0, 2.0 - eps / 2.0, u_points)
+    if u_points < 1:
+        raise DomainError("u_points must be >= 1")
+    from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
+
     sup = 0.0
-    for u in us:
-        val = _integral(
+    for u in np.linspace(-2.0 + eps / 2.0, 2.0 - eps / 2.0, u_points):
+        val, err, _, *warning = quad(
             lambda v: abs(complex(g_a(u + 1j * v)) - complex(g_b(u + 1j * v))),
-            a, 1.0, f"u={u:.17g}")
+            a, 1.0, epsabs=_QUAD_TOL, epsrel=0.0, full_output=1)
+        if warning:
+            raise InversionError(f"quadrature at u={u:.17g} missed its {_QUAD_TOL:g} "
+                                 f"tolerance: error estimate {err:.3e}")
         sup = max(sup, val)
     return sup + a + eps**1.5
-
-
-def bai_integrals(g_a, g_b, a: float, eps: float,
-                  u_points: int = 801) -> tuple[float, float]:
-    """The two integrals of Bai's smoothing inequality (diagnostic only).
-
-    Returns (integral of |G_a - G_b| along the whole line Im z = 1, sup over
-    I_eps of the strip integral).
-    """
-    line = _integral(lambda u: abs(complex(g_a(u + 1j)) - complex(g_b(u + 1j))),
-                     -math.inf, math.inf, "the line Im z = 1")
-    strip = delta_tilde(g_a, g_b, a, eps, u_points=u_points) - a - eps**1.5
-    return line, strip

@@ -110,22 +110,6 @@ class Measure:
             return 0.0
         return self.variance_param ** (k // 2) * _catalan(k // 2)
 
-    def abs_moment(self, k: int) -> float:
-        """k-th absolute moment."""
-        if k < 1:
-            raise DomainError("moment order must be >= 1")
-        if self.kind == "atomic":
-            return sum(w * abs(x) ** k for x, w in self.atoms)
-        # beta_k of the variance-1 semicircle is 2^{k+1}/pi * B((k+1)/2, 3/2)
-        beta = (
-            2.0 ** (k + 1)
-            / math.pi
-            * math.gamma((k + 1) / 2)
-            * math.gamma(1.5)
-            / math.gamma((k + 1) / 2 + 1.5)
-        )
-        return self.variance_param ** (k / 2) * beta
-
     @property
     def mean(self) -> float:
         return self.moment(1)

@@ -177,6 +177,14 @@ def test_output_to_unwritable_path_is_io_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("count, code", [(-3, 1), (0, 0)])
+def test_sphere_negative_count_is_config_error(count, code, capsys):
+    """As sample_matrix raises for a negative count; no rows is no error."""
+    assert run(["sphere", "--n", "4", "--count", str(count),
+                "--output", "-"]) == code
+    assert ("config error" in capsys.readouterr().err) == (code == 1)
+
+
 def test_failed_rename_removes_temp_file(tmp_path):
     """The artifact is written to a temp file beside the output path; when
     the rename onto the path fails, here because it is a directory, the

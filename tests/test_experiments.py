@@ -219,6 +219,13 @@ def test_rate_experiment_delta_tilde():
         assert r.delta_tilde == ref
 
 
+@pytest.mark.parametrize("u_points", [0, -1])
+def test_rate_experiment_rejects_tilde_u_points_below_one(u_points):
+    with pytest.raises(DomainError, match="u_points"):
+        rate_experiment(Measure.bernoulli(), [4], metrics=("delta_tilde",),
+                        points=201, tilde_u_points=u_points)
+
+
 def test_rate_experiment_validates_schedule():
     with pytest.raises(DomainError):
         rate_experiment(Measure.bernoulli(), [8, 4])
@@ -237,6 +244,21 @@ def test_nonid_experiment_states_ratio():
     assert out["L_n"] > 0
     assert 0 < out["delta"] < 1
     assert out["ratio"] == pytest.approx(out["delta"] / out["L_n"])
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "random"])
+@pytest.mark.parametrize("mu", [Measure.bernoulli(),
+                                Measure.binomial(0.25).standardize()],
+                         ids=["bernoulli", "binomial:0.25"])
+def test_nonid_experiment_matches_rates_on_weighted_summands(mu, weight_mode):
+    """The same summands give the same delta through either entry point:
+    one window rule and one recovery serve both."""
+    theta = (WeightVector.uniform(64) if weight_mode == "uniform"
+             else sample(64, 0, index=0))
+    out = nonid_experiment(weighted_summands(mu, theta), points=1001)
+    rep = rate_experiment(mu, [64], weight_mode=weight_mode, points=1001,
+                          metrics=("delta",))
+    assert out["delta"] == pytest.approx(rep.rows[0].delta, rel=0, abs=1e-12)
 
 
 def test_nonid_experiment_rejects_nonzero_mean():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.complexfn import cauchy, sqrt_cut
 from freeconv.errors import DomainError, InversionError
-from freeconv.inversion import (GriddedDistribution, bai_integrals, delta_eps,
-                                delta_tilde, kolmogorov, levy, recover)
+from freeconv.inversion import (GriddedDistribution, delta_eps, delta_tilde,
+                                kolmogorov, levy, recover)
 from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
 from freeconv.subordination import solve
@@ -224,6 +224,16 @@ def test_delta_tilde_rejects_parameters_out_of_range(a, eps, match):
         delta_tilde(g, g, a=a, eps=eps)
 
 
+@pytest.mark.parametrize("u_points", [0, -1])
+def test_delta_tilde_rejects_u_points_below_one(u_points):
+    """With no u there is no sup to take: 0 points would report a + eps^1.5
+    without evaluating either G."""
+    def g(z):
+        raise AssertionError("G evaluated")
+    with pytest.raises(DomainError, match="u_points"):
+        delta_tilde(g, g, a=0.05, eps=0.2, u_points=u_points)
+
+
 def test_delta_eps_anchored_at_left_endpoint():
     """Identical up to a constant vertical offset inside the window: the
     anchored pseudometric is 0 for a pure offset of the same CDF."""
@@ -255,30 +265,10 @@ def test_delta_tilde_detects_difference():
     assert delta_tilde(g1, g2, a=0.05, eps=0.2) > base + 1e-3
 
 
-def test_bai_integrals_vanish_for_identical():
-    g = lambda z: complex(cauchy(Measure.semicircle(1.0), np.array([z]))[0])
-    line, strip = bai_integrals(g, g, a=0.05, eps=0.2)
-    assert line == pytest.approx(0.0, abs=1e-6)
-    assert strip == pytest.approx(0.0, abs=1e-6)
-
-
 def test_delta_tilde_raises_when_quadrature_misses_tolerance():
     rough = lambda z: complex(math.sin(1e3 * z.imag))
     with pytest.raises(InversionError, match=r"u=.*error estimate"):
         delta_tilde(rough, lambda z: 0j, a=0.05, eps=0.2, u_points=3)
-
-
-@pytest.mark.parametrize("g1", [
-    lambda z: complex(cauchy(Measure.semicircle(1.0), np.array([z]))[0]),
-    lambda z: solve([Measure.semicircle(0.5), Measure.semicircle(0.5)], z).G,
-], ids=["closed-form", "solver"])
-def test_bai_line_integral_semicircle_pair(g1):
-    """semicircle(1) vs semicircle(1.3) along the whole line Im z = 1.  The
-    difference decays like 1/u^3, and quad evaluates the solver-backed G out
-    to |u| near 1e3."""
-    g2 = lambda z: complex(cauchy(Measure.semicircle(1.3), np.array([z]))[0])
-    line, _ = bai_integrals(g1, g2, a=0.05, eps=0.2, u_points=3)
-    assert line == pytest.approx(0.252562884262, abs=1e-8)
 
 
 def test_cdf_at_interpolates():

@@ -129,16 +129,10 @@ def test_binomial_rejects_p_outside_unit_interval(p):
 
 @pytest.mark.parametrize("mu", [Measure.bernoulli(), Measure.semicircle(1.0)],
                          ids=["atomic", "semicircle"])
-@pytest.mark.parametrize("order", ["moment", "abs_moment"])
+@pytest.mark.parametrize("order", ["moment"])
 def test_moments_reject_order_below_one(mu, order):
     with pytest.raises(DomainError, match="order"):
         getattr(mu, order)(0)
-
-
-def test_abs_moment_atomic():
-    mu = Measure.atomic([-3.0, 1.0, 4.0], [0.3, 0.5, 0.2])
-    assert mu.abs_moment(1) == pytest.approx(0.9 + 0.5 + 0.8)
-    assert mu.abs_moment(3) == pytest.approx(0.3 * 27 + 0.5 + 0.2 * 64)
 
 
 def test_shift_of_semicircle_rejected():
@@ -155,14 +149,6 @@ def test_standardize_semicircle_and_zero_variance():
 def test_from_json_rejects_unknown_kind():
     with pytest.raises(DomainError, match="unknown measure kind"):
         Measure.from_json('{"kind": "cauchy"}')
-
-
-def test_abs_moment_semicircle_known_values():
-    sc = Measure.semicircle(1.0)
-    # odd absolute moments of the semicircle have a closed gamma form;
-    # beta_1 = 8/(3 pi)
-    assert sc.abs_moment(1) == pytest.approx(8.0 / (3.0 * math.pi))
-    assert sc.abs_moment(2) == pytest.approx(1.0)
 
 
 def test_json_roundtrip_atomic_and_semicircle():
