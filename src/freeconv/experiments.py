@@ -256,6 +256,8 @@ def nonid_experiment(measures, eta: float = DEFAULT_ETA,
     weighted_summands(mu, theta) gives rate_experiment's delta.
     """
     measures = list(measures)
+    if not measures:
+        raise DomainError("nonid_experiment needs at least one measure, got none")
     for m in measures:
         if m.var <= 0.0:
             raise DomainError("every input measure must have positive variance")

@@ -196,8 +196,8 @@ def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
         raise DomainError("a must be in (0, 1)")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must be in (0, 1)")
-    if u_points < 1:
-        raise DomainError("u_points must be >= 1")
+    if not isinstance(u_points, (int, np.integer)) or u_points < 1:
+        raise DomainError(f"u_points must be an integer >= 1, got {u_points!r}")
     from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
 
     sup = 0.0

@@ -23,10 +23,13 @@ level exceeds any fixed absolute tolerance.  A point's outputs are
 written once, when it leaves the Newton loop.  What depends on the
 measures alone (the dedupe, the start's mean and variance terms, the
 stacked atom arrays) is built once per tuple of measures and cached.
+A grid is solved in independent column tiles, run concurrently where
+BLAS leaves cores free (see solve_grid).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,6 +55,22 @@ class SolveOptions:
 DEFAULT_OPTIONS = SolveOptions()
 _ROUNDING = 8.0 * np.finfo(float).eps  # residual floor per unit of its sums
 _TILE = 1 << 15  # coordinate-points per tile: a complex block of 512 KiB
+
+
+def _tile_workers():
+    """Threads for a multi-tile solve: the cores this process may run on,
+    divided by the threads of one BLAS call, which OpenBLAS takes from the
+    first positive one of these variables, else one per core.  Its threads
+    spin between calls, so tile threads on top of them slow a solve down."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    env = (os.environ.get(v, "") for v in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas = next((int(v) for v in env if v.isdigit() and int(v) > 0), cores)
+    return max(1, cores // blas)
+
+
+_WORKERS = _tile_workers()
 
 
 class GridSolution(NamedTuple):
@@ -89,12 +108,20 @@ def _make_evaluator(measures):
     XW = list(zip(X, W))
 
     def atomic_part(Za):
-        F = dF = None  # the first atom starts both sums: no zero start
+        F = dF = q = t = None  # later atoms reuse the buffers q and t
         for x, w in XW:
-            q = np.reciprocal(Za - x)
-            F = w * q if F is None else np.add(F, w * q, out=F)
+            # out=None allocates as Za - x would: the layout, and so the
+            # BLAS path and the bytes of c @ F, stay the same
+            q = np.reciprocal(np.subtract(Za, x, out=q), out=q)
+            if F is None:  # the first atom starts both sums: no zero start
+                F = w * q
+                q *= q
+                dF = w * q
+                continue
+            t = np.multiply(w, q, out=t)
+            F += t
             q *= q
-            dF = w * q if dF is None else np.add(dF, w * q, out=dF)
+            dF += np.multiply(w, q, out=t)
         np.reciprocal(F, out=F)
         dF *= F
         dF *= F
@@ -141,14 +168,16 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
             Z[:, out], F0[out], res[out], tol[out], iterations[out] = (
                 Zw[:, done], F[0, done], rw[done], tw[done], step)
             idx, zw, Zw = idx[live], zw[live], Zw[:, live]
-            F, dF, w, sz = F[:, live], dF[:, live], w[live], sz[live]
+            w, sz = w[live], sz[live]
+            F = F[:, live]  # one block at a time, so the old one goes first
+            dF = dF[:, live]
         r = sz - (n - 1) * w
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = np.reciprocal(dF, out=dF)  # 1/F_i'
             e = F - w
             e *= inv  # e_i/F_i'
             dw = (c @ e - r) / (c @ inv - (n - 1))  # Schur complement
-            Zn = dw * inv  # Z_i + (dw - e_i)/F_i'
+            Zn = np.multiply(dw, inv, out=inv)  # Z_i + (dw - e_i)/F_i'
             Zn -= e
             Zn += Zw
         ok = (np.isfinite(Zn) & (Zn.imag >= zw.imag)).all(axis=0)
@@ -195,9 +224,15 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     so the collapsed system has the same solution.
 
     Points are independent, so the columns are solved in tiles of about
-    2^15 coordinate-points (512 KiB per complex block), one after another:
-    the Newton temporaries stay in cache, and memory beyond the returned Z
-    is a few tiles, whatever the grid size.
+    2^15 coordinate-points (512 KiB per complex block): the Newton
+    temporaries stay in cache, and memory beyond the returned Z is a few
+    tiles, whatever the grid size.  The tiles of a multi-tile call run on
+    up to _WORKERS threads, started for the call and joined before it
+    returns (so a fork finds none), each tile in a copy of the caller's
+    context (numpy's errstate); a tile's exception is raised here.  The
+    bytes do not depend on the number of threads, but they do depend on
+    the BLAS thread count: a sum such as c @ F split across BLAS threads
+    rounds differently.
     """
     measures = tuple(measures)
     n = len(measures)
@@ -230,10 +265,22 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     tol = np.empty(m)
     iterations = np.zeros(m, dtype=int)
     width = max(1, _TILE // c.size)
-    for lo in range(0, m, width):
-        t = slice(lo, lo + width)
+    tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
+
+    def run(t):
         _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
                 iterations[t])
+
+    workers = min(_WORKERS, len(tiles))
+    if workers == 1:
+        for t in tiles:
+            run(t)
+    else:  # each tile in a copy of the caller's context (numpy's errstate)
+        from concurrent.futures import ThreadPoolExecutor
+        from contextvars import copy_context
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda ctx, t: ctx.run(run, t),
+                          [copy_context() for _ in tiles], tiles))
     if expand is not None:
         Z = Z[expand]
     return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)

@@ -269,3 +269,10 @@ def test_nonid_experiment_rejects_nonzero_mean():
 def test_nonid_experiment_rejects_zero_variance():
     with pytest.raises(DomainError, match="positive variance"):
         nonid_experiment([Measure.bernoulli(), Measure.point(0.0)])
+
+
+@pytest.mark.parametrize("measures", [[], ()], ids=["list", "tuple"])
+def test_nonid_experiment_rejects_empty_input(measures):
+    """No summands means B_n = 0: named as a domain error, not a division."""
+    with pytest.raises(DomainError, match="at least one measure"):
+        nonid_experiment(measures)

@@ -234,6 +234,14 @@ def test_delta_tilde_rejects_u_points_below_one(u_points):
         delta_tilde(g, g, a=0.05, eps=0.2, u_points=u_points)
 
 
+@pytest.mark.parametrize("u_points", [2.5, 3.0, "3", None])
+def test_delta_tilde_rejects_non_integer_u_points(u_points):
+    def g(z):
+        raise AssertionError("G evaluated")
+    with pytest.raises(DomainError, match="u_points must be an integer"):
+        delta_tilde(g, g, a=0.05, eps=0.2, u_points=u_points)
+
+
 def test_delta_eps_anchored_at_left_endpoint():
     """Identical up to a constant vertical offset inside the window: the
     anchored pseudometric is 0 for a pure offset of the same CDF."""

@@ -1,10 +1,16 @@
 import hashlib
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import subordination
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
@@ -384,8 +390,8 @@ _MIXED = [Measure.bernoulli().scale(0.5), Measure.binomial(0.2).scale(-0.7),
 @pytest.mark.parametrize("ms, m, digest", [
     (_random_sum(4), 201, "97ebd097828b194b130c105ed560f282aa635c3cfd56b6c20c4774fdfd3a043a"),
     (_random_sum(8), 201, "52a9e352b09471ff5316af1c7cb62efd8d1bae5c95e3ad09f569c9a91e9f9c12"),
-    (_random_sum(16), 2001, "11711120375216aeeb47b2a04aa551f11e4ad0ed746b85487010f432b17ffeb5"),
-    (_random_sum(64), 500, "c558f50ee8b541074921287f2f2a804810981a4935a828d643ac989697e76933"),
+    (_random_sum(16), 2001, "600a86b01b2b5646ad5c9be4af4d5f37f50ce7521c82028017a7bd074bcefc61"),
+    (_random_sum(64), 500, "5bef26a1f8c8d0a5d69d5491524c0bb1ef1a241f23e083f3ce0af56e42c28c75"),
     (_MIXED, 401, "b7a066c18533340e13679819ae3840450f419a8614f1d00899f46024b6e83540"),
 ], ids=["n4", "n8", "n16", "n64", "mixed"])
 def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
@@ -393,6 +399,109 @@ def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
     so its bytes are pinned to those of the untiled solver."""
     assert m <= _TILE // len(ms)
     assert _digest(solve_grid(ms, np.linspace(-3, 3, m) + 1e-3j)) == digest
+
+
+_GRID = np.linspace(-3, 3, 4001) + 1e-3j
+
+
+@pytest.mark.parametrize("n", [16, 64, 256], ids=["n16", "n64", "n256"])
+def test_tile_threads_give_the_bytes_of_one_thread(n, monkeypatch):
+    """Tiles are independent solves writing disjoint columns, so how many
+    threads run them does not move a byte.  Four threads, more than the
+    cores of most hosts, switching often: overlapping writes would show."""
+    ms = _random_sum(n)
+    assert _GRID.size > _TILE // n  # more than one tile
+    monkeypatch.setattr(subordination, "_WORKERS", 1)
+    one = _digest(solve_grid(ms, _GRID))
+    monkeypatch.setattr(subordination, "_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = _digest(solve_grid(ms, _GRID))
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4), ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+], ids=["unset", "openblas1", "omp1", "openblas-first", "invalid-skipped",
+        "more-than-cores"])
+def test_tile_threads_share_the_cores_with_blas(env, workers, monkeypatch):
+    """Four cores over the threads OpenBLAS takes from the environment:
+    unset, it runs one per core, and the solve keeps to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert subordination._tile_workers() == workers
+
+
+def _tile_spy(monkeypatch, before):
+    """Run before(zs) at the start of every tile; returns the threads seen."""
+    newton, threads = subordination._newton, []
+
+    def spy(evaluate, c, n, zs, *rest):
+        threads.append(threading.get_ident())
+        before(zs)
+        return newton(evaluate, c, n, zs, *rest)
+    monkeypatch.setattr(subordination, "_newton", spy)
+    monkeypatch.setattr(subordination, "_WORKERS", 2)
+    return threads
+
+
+def test_tile_exception_propagates(monkeypatch):
+    class TileFailure(Exception):
+        pass
+
+    def fail_second_tile(zs):
+        if zs[0] != _GRID[0]:
+            raise TileFailure
+    threads = _tile_spy(monkeypatch, fail_second_tile)
+    with pytest.raises(TileFailure):
+        solve_grid(_random_sum(64), _GRID)
+    assert threading.get_ident() not in threads
+
+
+def test_tiles_see_the_callers_errstate(monkeypatch):
+    """Worker threads start from numpy's default errstate; each tile runs
+    in a copy of the caller's context, so it sees the caller's."""
+    seen = []
+    threads = _tile_spy(monkeypatch, lambda zs: seen.append(np.geterr()))
+    with np.errstate(all="raise"):
+        expected = np.geterr()
+        solve_grid(_random_sum(64), _GRID)
+    assert threading.get_ident() not in threads
+    assert len(seen) == 8 and all(e == expected for e in seen)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_a_multi_tile_solve(monkeypatch):
+    """Tile threads live for one call, so a child forked after a threaded
+    solve (whose threads do not exist in the child) can run its own."""
+    monkeypatch.setattr(subordination, "_WORKERS", 2)
+    ms = _random_sum(16)
+    expected = _digest(solve_grid(ms, _GRID))
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            code = 0 if _digest(solve_grid(ms, _GRID)) == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's solve hung")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _mixed_pair():
