@@ -115,14 +115,20 @@ def _union(*parts):
     return x[np.append(True, x[1:] > x[:-1])]
 
 
-def _as_cdf_pair(a, b):
+_CDF_WINDOW_TOL = 1e-12  # mass a CDF callable may leave outside [-R, R]
+
+
+def _as_cdf_pair(a, b, tails=True):
     """The comparison grid and both CDFs on it, for two inputs: gridded
     distributions, measures, or CDF callables.
 
     The grid is the union of the gridded inputs' grids; without one it is
     [-R, R] with R the larger support radius (4 for a bare callable, which
-    carries none).  Every atom x and its left neighbour nextafter(x, -inf)
-    join the grid, so a sup over a step CDF is attained on it.
+    carries none).  Then, with ``tails`` (the distance reads the mass
+    outside the grid as 0 and 1), a callable must be within 1e-12 of 0 at
+    -R and of 1 at R, or DomainError names R.  Every atom x and its left
+    neighbour nextafter(x, -inf) join the grid, so a sup over a step CDF is
+    attained on it.
     """
     gridded = [x.grid for x in (a, b) if isinstance(x, GriddedDistribution)]
     if gridded:
@@ -130,6 +136,13 @@ def _as_cdf_pair(a, b):
     else:
         R = max(x.support_radius if isinstance(x, Measure) else 4.0 for x in (a, b))
         grid = np.linspace(-R, R, DEFAULT_POINTS)
+        for f in (x for x in (a, b) if tails and callable(x)):
+            lo, hi = np.asarray(f(np.array([-R, R])), dtype=float)
+            if not (abs(lo) <= _CDF_WINDOW_TOL and abs(hi - 1.0) <= _CDF_WINDOW_TOL):
+                raise DomainError(
+                    f"a CDF callable must be within {_CDF_WINDOW_TOL:g} of 0 at "
+                    f"-R and of 1 at R = {R:g}; it leaves {lo:.3e} left of -R "
+                    f"and {1.0 - hi:.3e} right of R")
     atoms = np.array([x for m in (a, b) if isinstance(m, Measure)
                       and m.kind == "atomic" for x, _ in m.atoms])
     if atoms.size:
@@ -182,7 +195,8 @@ def delta_eps(a, b, eps: float) -> float:
     if any(isinstance(x, GriddedDistribution) and (x.x_min > lo or x.x_max < hi)
            for x in (a, b)):
         raise DomainError("grids must cover [-2+eps, 2-eps]")
-    grid, ca, cb = _as_cdf_pair(a, b)
+    # only interval probabilities inside the window: no tail mass is read
+    grid, ca, cb = _as_cdf_pair(a, b, tails=False)
     xs = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
     d = np.interp(xs, grid, ca) - np.interp(xs, grid, cb)
     return float(np.max(np.abs(d - d[0])))

@@ -191,10 +191,25 @@ def marginal_density(n: int, x):
 _CHI2_BINS = 40  # equal-width bins over [-min(sqrt(n), 6), min(sqrt(n), 6)]
 
 
+def _chi2_sf(k: int, x: float) -> float:
+    """P(chi^2_k > x) for an integer k >= 1: the regularized upper
+    incomplete gamma Q(k/2, x/2) in closed form, from Q(1, y) = e^-y (even
+    k) or Q(1/2, y) = erfc(sqrt y) (odd k) by the positive terms of
+    Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1)."""
+    y = 0.5 * x
+    if k % 2:
+        a, q, t = 0.5, math.erfc(math.sqrt(y)), 2.0 * math.exp(-y) * math.sqrt(y / math.pi)
+    else:
+        a, q, t = 1.0, math.exp(-y), math.exp(-y) * y
+    while a < 0.5 * k:
+        q += t
+        a += 1.0
+        t *= y / a
+    return q
+
+
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
-    from scipy.special import chdtrc  # deferred: scipy.special is slow to import
-
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)
@@ -214,7 +229,10 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
         obs, exp = obs[:-1], exp[:-1]
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return float(chdtrc(dof, chi2))
+    if dof < 1:
+        raise DomainError("too few samples for a chi-squared test: "
+                          "fewer than two bins expect 5 or more")
+    return _chi2_sf(dof, chi2)
 
 
 # Rows per block of concentration_report.  It only bounds the memory of the

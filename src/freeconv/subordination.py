@@ -75,7 +75,8 @@ _WORKERS = _tile_workers()
 
 class GridSolution(NamedTuple):
     """A solve's result: Z of shape (n, m), then one entry per point (for
-    solve at a scalar z, Z of shape (n,) and Python scalars)."""
+    solve at a scalar z, Z of shape (n,) and Python scalars).  Z is
+    read-only; a broadcast of one row when all summands are one measure."""
     Z: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -221,7 +222,9 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     (n, m), or (n,) for one point, finite, with Im Z_i >= Im z.  Without
     it, duplicate measures share a coordinate: the fixed point is symmetric
     in identical coordinates and identical measures get identical starts,
-    so the collapsed system has the same solution.
+    so the collapsed system has the same solution.  Z is read-only on
+    every path; when all summands are one measure it is a broadcast of one
+    row (stride 0, no n x m copy); a partial collapse gathers the rows.
 
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block): the Newton
@@ -281,8 +284,9 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(lambda ctx, t: ctx.run(run, t),
                           [copy_context() for _ in tiles], tiles))
-    if expand is not None:
-        Z = Z[expand]
+    if expand is not None:  # one coordinate: a view of its row, no n x m copy
+        Z = np.broadcast_to(Z, (n, m)) if c.size == 1 else Z[expand]
+    Z.flags.writeable = False
     return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
@@ -310,6 +314,12 @@ def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
 
 
 def weighted_summands(mu: Measure, theta) -> list[Measure]:
-    """The summands D_{theta_i} mu of the weighted free sum sum_i theta_i X_i."""
-    return [mu.scale(float(t)) for t in as_weights(theta)]
+    """The summands D_{theta_i} mu of the weighted free sum sum_i theta_i X_i.
+
+    mu is scaled once per distinct weight, so equal weights share one
+    Measure object (0.0 and -0.0 compare equal; both scale to the point
+    mass at 0)."""
+    w = as_weights(theta).tolist()
+    scaled = {t: mu.scale(t) for t in dict.fromkeys(w)}
+    return list(map(scaled.__getitem__, w))
 

@@ -117,6 +117,32 @@ def test_kolmogorov_shifted_step():
     assert kolmogorov(step(0.0), step(1.0)) == pytest.approx(1.0)
 
 
+def _normal_cdf(x):
+    return 0.5 * np.vectorize(math.erfc)(-np.asarray(x, float) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("distance", [kolmogorov, levy])
+@pytest.mark.parametrize("other", [semicircle_cdf, Measure.bernoulli()],
+                         ids=["callable", "measure"])
+def test_cdf_callable_must_fit_the_window(distance, other):
+    """The standard normal leaves Phi(-4) ~ 3.2e-5 outside [-4, 4], mass
+    the comparison grid cannot see: it is rejected, naming R."""
+    with pytest.raises(DomainError, match="R = 4"):
+        distance(_normal_cdf, other)
+    with pytest.raises(DomainError, match="R = 4"):
+        distance(other, _normal_cdf)
+
+
+def test_cdf_callable_window_grows_with_the_measure():
+    """A measure wider than 4 widens the window, and the callable is
+    checked at its ends: the normal leaves Phi(-6) ~ 1e-9 outside
+    [-6, 6]."""
+    wide = Measure.atomic([-6.0, 6.0], [0.5, 0.5])
+    with pytest.raises(DomainError, match="R = 6"):
+        kolmogorov(_normal_cdf, wide)
+    assert kolmogorov(semicircle_cdf, wide) == pytest.approx(0.5)
+
+
 def test_levy_bounded_by_kolmogorov():
     rng = np.random.default_rng(31)
     for _ in range(20):

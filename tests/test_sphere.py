@@ -278,6 +278,35 @@ def test_marginal_chi2_accepts_true_distribution():
     assert p > 0.001
 
 
+def test_chi2_tail_matches_scipy():
+    """The closed-form Q(k/2, x/2) against scipy's chdtrc, relative, for
+    k = 1..60 and x in [0, 200]."""
+    from scipy.special import chdtrc
+    xs = np.linspace(0.0, 200.0, 401)
+    for k in range(1, 61):
+        got = [sphere._chi2_sf(k, float(x)) for x in xs]
+        np.testing.assert_allclose(got, chdtrc(k, xs), rtol=1e-13, atol=0.0,
+                                   err_msg=f"k={k}")
+
+
+def test_marginal_chi2_does_not_import_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = ("import sys; from freeconv.sphere import marginal_chi2_pvalue, "
+            "sample_matrix; marginal_chi2_pvalue(8, sample_matrix(8, 500, seed=1)); "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("rows", [1, 10])
+def test_marginal_chi2_rejects_too_few_samples(rows):
+    """With fewer than two bins expecting 5 or more there are no degrees
+    of freedom left to test."""
+    with pytest.raises(DomainError, match="too few samples"):
+        marginal_chi2_pvalue(32, sample_matrix(32, rows, seed=0))
+
+
 def test_coordinate_symmetry():
     """Each coordinate has mean 0 and variance 1/n."""
     M = sample_matrix(16, 20000, seed=3)

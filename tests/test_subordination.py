@@ -14,7 +14,7 @@ from freeconv import subordination
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
-from freeconv.sphere import WeightVector, sample
+from freeconv.sphere import WeightVector, as_weights, sample
 from freeconv.subordination import (_TILE, SolveOptions, _setup, solve,
                                     solve_grid, weighted_summands)
 
@@ -563,3 +563,80 @@ def test_grid_memory_stays_near_output_size():
         tracemalloc.stop()
     assert np.all(sol.converged)
     assert peak < 2 * sol.Z.nbytes
+
+
+def test_identical_summands_solve_without_an_n_by_m_copy():
+    """1024 identical Bernoulli summands at 4001 points: one coordinate is
+    solved and Z is a stride-0 view of it, so the traced peak stays far
+    below one n x m complex array (which Z.nbytes still reports)."""
+    n, zs = 1024, np.linspace(-3, 3, 4001) + 1e-3j
+    ms = weighted_summands(Measure.bernoulli(), WeightVector.uniform(n))
+    tracemalloc.start()
+    try:
+        sol = solve_grid(ms, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(sol.converged)
+    assert sol.Z.shape == (n, zs.size) and sol.Z.nbytes == n * zs.size * 16
+    assert sol.Z.strides[0] == 0
+    assert peak < n * zs.size * 16 / 8
+
+
+@pytest.mark.parametrize("ms, digest", [
+    ([Measure.bernoulli().scale(1 / 8)] * 64,
+     "f6b71eae2ee479dddd6156c6dbdfbc26cf51b45df3bda2b614504d7e3d7d7678"),
+    ([Measure.bernoulli().scale(0.6), Measure.semicircle(0.16)] * 2,
+     "b6e54850a8576cea0c3383ca600bab8c5e1008b5b42314e41cf7ec87594a3cee"),
+], ids=["one-measure", "two-measures"])
+def test_collapsed_z_equals_the_gathered_rows(ms, digest):
+    """A broadcast (one distinct measure) or gathered (two) Z holds, bit
+    for bit, the rows the gathering solver returned; equal summands get
+    equal rows."""
+    sol = solve_grid(ms, np.linspace(-3, 3, 201) + 1e-3j)
+    assert _digest(sol) == digest
+    for i, mu in enumerate(ms):
+        assert np.array_equal(sol.Z[i], sol.Z[ms.index(mu)])
+
+
+_b, _s = Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)
+
+
+@pytest.mark.parametrize("ms, kw", [
+    ([_b] * 8, {}), ([_b, _s] * 2, {}), ([_b, _s], {}), ([_b], {}),
+    ([_b] * 3, {"init": np.full((3, 2), 0.5j)}),
+], ids=["broadcast", "gathered", "plain", "one-summand", "init"])
+def test_z_is_read_only_on_every_path(ms, kw):
+    sol = solve_grid(ms, [0.1 + 0.5j, -0.2 + 0.5j], **kw)
+    with pytest.raises(ValueError):
+        sol.Z[0, 0] = 0.0
+    init = kw.get("init")
+    point = solve(ms, 0.1 + 0.5j, init=None if init is None else init[:, 0])
+    with pytest.raises(ValueError):
+        point.Z[0] = 0.0
+
+
+def test_scalar_solve_of_identical_summands_returns_one_z_per_summand():
+    n = 16
+    sol = solve([Measure.bernoulli().scale(0.25)] * n, 0.3 + 0.2j)
+    assert sol.Z.shape == (n,)
+    assert np.all(sol.Z == sol.Z[0])
+    assert sum(sol.Z) - (0.3 + 0.2j) == pytest.approx((n - 1) * sol.F, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [
+    WeightVector.uniform(64), sample(64, 0, 0), [0.0, -0.0, 0.6, -0.8, 0.0],
+], ids=["uniform", "random", "signed-zeros"])
+def test_weighted_summands_scale_each_distinct_weight_once(theta, monkeypatch):
+    """The list equals one scale per weight, down to the sign of zero, and
+    mu.scale runs once per distinct weight value."""
+    mu = Measure.binomial(0.3)
+    expected = [mu.scale(float(t)) for t in as_weights(theta)]
+    calls = []
+    scale = Measure.scale
+    monkeypatch.setattr(Measure, "scale",
+                        lambda self, c: calls.append(c) or scale(self, c))
+    got = weighted_summands(mu, theta)
+    assert list(map(repr, got)) == list(map(repr, expected))
+    distinct = set(as_weights(theta).tolist())
+    assert len(calls) == len(distinct) == len({id(m) for m in got})
