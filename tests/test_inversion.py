@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.complexfn import cauchy, sqrt_cut
 from freeconv.errors import DomainError, InversionError
+from freeconv.experiments import weighted_summands
 from freeconv.inversion import (GriddedDistribution, delta_eps, delta_tilde,
                                 kolmogorov, levy, recover)
 from freeconv.measures import (Measure, arcsine_cdf, semicircle_cdf,
                                semicircle_density)
+from freeconv.sphere import sample
 from freeconv.subordination import solve
 
 from oracles import delta_eps_steps, levy_steps
@@ -303,6 +305,70 @@ def test_delta_tilde_raises_when_quadrature_misses_tolerance():
     rough = lambda z: complex(math.sin(1e3 * z.imag))
     with pytest.raises(InversionError, match=r"u=.*error estimate"):
         delta_tilde(rough, lambda z: 0j, a=0.05, eps=0.2, u_points=3)
+
+
+_STRIP_LAWS = {
+    # the benchmark's Bernoulli(+-0.6) boxplus semicircle(0.64)
+    "mixed": lambda: [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)],
+    # the largest 13- vs 14-node gap seen, at u = -1.9
+    "binomial-n16-seed1": lambda: weighted_summands(
+        Measure.binomial(0.25).standardize(), sample(16, 1, index=0)),
+}
+
+
+@pytest.mark.parametrize("u_points", [1, 5])
+@pytest.mark.parametrize("law", sorted(_STRIP_LAWS))
+def test_delta_tilde_matches_quad_reference(law, u_points):
+    """The graded Gauss-Legendre value against QUADPACK to 1e-13, at the
+    same u; u_points = 1 is u = -1.9 alone."""
+    from scipy.integrate import quad
+    measures = _STRIP_LAWS[law]()
+    ga = lambda z: complex(solve(measures, z).G)
+    gb = lambda z: complex(semicircle_g(z))
+    ref = max(quad(lambda v: abs(ga(u + 1j * v) - gb(u + 1j * v)), 0.05, 1.0,
+                   epsabs=1e-13, epsrel=0.0, full_output=1)[0]
+              for u in np.linspace(-1.9, 1.9, u_points)) + 0.05 + 0.2**1.5
+    assert delta_tilde(ga, gb, a=0.05, eps=0.2, u_points=u_points) == \
+        pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("u_points", [1, 4])
+def test_delta_tilde_calls_each_g_27_times_per_u(u_points):
+    calls = {"a": 0, "b": 0}
+
+    def counted(key, scale):
+        def g(z):
+            calls[key] += 1
+            return complex(cauchy(Measure.semicircle(scale), np.array([z]))[0])
+        return g
+    delta_tilde(counted("a", 1.0), counted("b", 1.3), a=0.05, eps=0.2,
+                u_points=u_points)
+    assert calls == {"a": 27 * u_points, "b": 27 * u_points}
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_delta_tilde_raises_on_nan_naming_u(side):
+    """One NaN at a node of the second u (u = 0 of three) raises there;
+    max() would otherwise drop it."""
+    count = [0]
+
+    def g_nan(z):
+        count[0] += 1
+        return complex(math.nan) if count[0] == 27 + 5 else semicircle_g(z)
+    g_a, g_b = (g_nan, semicircle_g) if side == "a" else (semicircle_g, g_nan)
+    with pytest.raises(InversionError, match=r"u=0 .*error estimate nan"):
+        delta_tilde(g_a, g_b, a=0.05, eps=0.2, u_points=3)
+
+
+def test_cdf_callable_is_checked_at_a_gridded_inputs_ends():
+    """A constant 1/2 is no CDF: against a grid on [-1, 1] it is rejected,
+    naming both ends, and not read as a distance of 0.498."""
+    narrow = recover(semicircle_g, -1, 1, points=201, eta=1e-2)
+    half = lambda x: 0.5 * np.ones_like(x)
+    for a, b in ((narrow, half), (half, narrow)):
+        for distance in (kolmogorov, levy):
+            with pytest.raises(DomainError, match="ends -1 and 1 of the gridded"):
+                distance(a, b)
 
 
 def test_cdf_at_interpolates():
