@@ -225,6 +225,23 @@ def test_concentration_report_matches_full_matrix(n):
     assert concentration_report(n, 2000, seed=n) == _full_matrix_report(n, 2000, n)
 
 
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = "import sys, freeconv; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_integrate_or_special():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = ("import sys, freeconv; "
+            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_uniform_weight_vector():
     th = WeightVector.uniform(16)
     assert np.all(th.theta == 0.25)
@@ -271,6 +288,16 @@ def test_chi2_tail_matches_scipy():
         got = [sphere._chi2_sf(k, float(x)) for x in xs]
         np.testing.assert_allclose(got, chdtrc(k, xs), rtol=1e-13, atol=0.0,
                                    err_msg=f"k={k}")
+
+
+def test_marginal_chi2_does_not_import_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = ("import sys; from freeconv.sphere import marginal_chi2_pvalue, "
+            "sample_matrix; marginal_chi2_pvalue(8, sample_matrix(8, 500, seed=1)); "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 _NO_SCIPY = """
