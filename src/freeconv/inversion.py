@@ -117,7 +117,7 @@ def _union(*parts):
     return x[np.append(True, x[1:] > x[:-1])]
 
 
-_CDF_WINDOW_TOL = 1e-12  # mass a CDF callable may leave outside [-R, R]
+_CDF_WINDOW_TOL = 1e-12  # mass a CDF may leave outside the comparison grid
 
 
 def _as_cdf_pair(a, b, tails=True):
@@ -129,8 +129,8 @@ def _as_cdf_pair(a, b, tails=True):
     carries none).  Every atom x and its left neighbour nextafter(x, -inf)
     join the grid, so a sup over a step CDF is attained on it.  With
     ``tails`` (the distance reads the mass outside the grid as 0 and 1), a
-    callable must be within 1e-12 of 0 and 1 at the grid's ends, or
-    DomainError names them.
+    measure's or a callable's CDF must be within 1e-12 of 0 and 1 at the
+    grid's ends, or DomainError names them.
     """
     gridded = [x.grid for x in (a, b) if isinstance(x, GriddedDistribution)]
     if gridded:
@@ -142,22 +142,23 @@ def _as_cdf_pair(a, b, tails=True):
                       and m.kind == "atomic" for x, _ in m.atoms])
     if atoms.size:
         grid = _union(grid, atoms, np.nextafter(atoms, -np.inf))
-    for f in (x for x in (a, b) if tails and callable(x)):
-        lo, hi = np.asarray(f(grid[[0, -1]]), dtype=float)
+
+    def cdf(x, at):
+        if isinstance(x, GriddedDistribution):
+            return x.cdf_at(at)
+        if isinstance(x, Measure):
+            return x.cdf(at)
+        return np.asarray(x(at), dtype=float)
+
+    for x in (x for x in (a, b) if tails and not isinstance(x, GriddedDistribution)):
+        lo, hi = cdf(x, grid[[0, -1]])
         if not (abs(lo) <= _CDF_WINDOW_TOL and abs(hi - 1.0) <= _CDF_WINDOW_TOL):
+            what = "a measure's CDF" if isinstance(x, Measure) else "a CDF callable"
             raise DomainError(
-                f"a CDF callable must be within {_CDF_WINDOW_TOL:g} of 0 and 1 at "
+                f"{what} must be within {_CDF_WINDOW_TOL:g} of 0 and 1 at "
                 f"the ends {grid[0]:g} and {grid[-1]:g} of {span}; it leaves "
                 f"{lo:.3e} left of {grid[0]:g} and {1.0 - hi:.3e} right of {grid[-1]:g}")
-
-    def cdf(x):
-        if isinstance(x, GriddedDistribution):
-            return x.cdf_at(grid)
-        if isinstance(x, Measure):
-            return x.cdf(grid)
-        return np.asarray(x(grid), dtype=float)
-
-    return grid, cdf(a), cdf(b)
+    return grid, cdf(a, grid), cdf(b, grid)
 
 
 def kolmogorov(a, b) -> float:

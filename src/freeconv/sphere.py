@@ -12,13 +12,20 @@ Seeds and indices must lie in [-2**63, 2**64); they key the stream modulo
 
 ``sample`` with a 1-D integer index array draws all rows in one batch, byte
 for byte equal to the scalar path.  One Philox is rekeyed to (s, k) for each
-row, through a state dict of plain ints, and gives the 2m raw words,
-m = max(n, 8), from which the scalar loop draws its first m u's and m v's.
-The polar rejection and the normalisation then run over a block of rows at
-once, with no sort: each row's first n values are gathered by the rank of
-its accepted pairs.  A row falls back to the scalar path when its first
-round yields fewer than n values or when its norm is 0.
-``concentration_report`` forms its power sums from products, not ``pow``.
+row, through a state dict of plain ints, and a Generator on it writes the
+row's 2m doubles in [0, 1), m = max(n, 8), straight into a buffer, where
+they become the first m u's and m v's the scalar loop's
+Generator.uniform(-1, 1) draws.  The polar rejection and the normalisation
+then run over a block of rows at once, with no sort: each row's first n
+values are gathered by the rank of its accepted pairs.  A row falls back to
+the scalar path when its first round yields fewer than n values or when its
+norm is 0.
+
+One block generator serves a whole draw, with one Philox, one state dict
+and one set of buffers: ``sample`` has it write straight into the returned
+matrix, and ``concentration_report`` reduces each block in place, forming
+its power sums from products, not ``pow``.  No block allocates, so no
+memory is trimmed off the heap at one block and faulted back in at the next.
 """
 
 from __future__ import annotations
@@ -76,27 +83,49 @@ def _polar_gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     return out[:count]
 
 
-def _first_round(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first n polar Gaussians of each row of raw Philox words, and the
-    mask of rows whose first round gave fewer than n (their values are junk).
+def _first_round(uv: np.ndarray, out: np.ndarray, w: np.ndarray,
+                 p: np.ndarray) -> np.ndarray:
+    """Write into out the first n = out.shape[1] polar Gaussians of each row
+    of uv, and return the mask of rows whose first round gave fewer than n
+    (their rows of out are junk).
+
+    A row of uv holds the 2m doubles Generator.random draws from the row's
+    stream; they are mapped in place to Generator.uniform(-1, 1)'s, bit for
+    bit, the m u's then the m v's.  w (uv's shape) and p (intp, out's
+    shape) are scratch.
     """
-    m = raw.shape[1] // 2
-    uv = (raw >> 11) * 2.0**-52 - 1.0  # Generator.uniform(-1, 1), bit for bit
-    u, v = uv[:, :m], uv[:, m:]
-    s = u * u + v * v
+    rows, n, m = out.shape[0], out.shape[1], uv.shape[1] // 2
+    uv *= 2.0
+    uv -= 1.0
+    np.multiply(uv, uv, out=w)
+    s = w[:, :m]  # u*u + v*v, in the u's places
+    s += w[:, m:]
     keep = (s > 0.0) & (s < 1.0)
     accepted = np.count_nonzero(keep, axis=1)
     short = 2 * accepted < n
     pos = np.flatnonzero(keep)  # the accepted pairs, row after row
     if pos.size == 0:
-        return np.zeros((raw.shape[0], n)), short
-    a, j = accepted[:, None], np.arange(n)
-    half = j >= a  # a row's accepted u's, then its accepted v's
-    rank = (np.cumsum(accepted) - accepted)[:, None] + np.where(half, j - a, j)
-    p = pos[np.minimum(rank, pos.size - 1)]  # short rows read other pairs
-    sp = s.ravel()[p]
-    f = np.sqrt(-2.0 * np.log(sp) / sp)
-    return uv.ravel()[p + (p // m + half) * m] * f, short
+        out[:] = 0.0
+        return short
+    a = accepted[:, None]
+    half = np.arange(n) >= a  # a row's accepted u's, then its accepted v's
+    # the rank of each value's pair among the accepted, then the pair
+    np.add(np.arange(n), (np.cumsum(accepted) - accepted)[:, None], out=p)
+    np.subtract(p, a, out=p, where=half)
+    # "clip" keeps short rows' ranks in range: they read other pairs; every
+    # other index is in range, and raise mode would copy out first
+    np.take(pos, p, out=p, mode="clip")
+    p += m * np.arange(rows)[:, None]  # the pair's u (and s) in a row of 2m
+    np.take(w.ravel(), p, out=out, mode="clip")
+    f = w.ravel()[:out.size].reshape(out.shape)  # s is read: w is free
+    np.log(out, out=f)
+    f *= -2.0
+    f /= out
+    np.sqrt(f, out=f)
+    np.add(p, m, out=p, where=half)  # the pair's v
+    np.take(uv.ravel(), p, out=out, mode="clip")
+    out *= f
+    return short
 
 
 def _key(value) -> int:
@@ -107,38 +136,54 @@ def _key(value) -> int:
     return k % 2**64
 
 
-_BLOCK = 1 << 17  # raw words per block: bounds the temporaries, not the rows
+_BLOCK = 1 << 17  # doubles drawn per block: bounds the buffers, not the rows
 
 
-def _sample_rows(n: int, seed: int, idx: np.ndarray) -> np.ndarray:
-    """The rows sample(n, seed, k).theta for k in idx, drawn in blocks."""
-    out = np.empty((idx.size, n))
+def _block_rows(n: int, count: int) -> int:
+    """Rows per block when drawing count rows on S^{n-1}."""
+    return max(1, min(_BLOCK // (2 * max(n, 8)), count))
+
+
+def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
+    """Yield (lo, rows), block after block: rows[i] is
+    sample(n, seed, idx[lo + i]).theta.
+
+    One Philox, its state dict and one set of buffers serve the whole draw,
+    so no block allocates.  The rows are out[lo:lo + len(rows)] when out is
+    given; otherwise they are one buffer, which the next block overwrites
+    and the caller may use as scratch.
+    """
     m = max(n, 8)
     bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
     key = [_key(seed), 0]
     # the start of the stream Philox(key=key): zero counter, empty buffer;
     # the state setter reads plain ints much faster than numpy scalars
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    rows = max(1, _BLOCK // (2 * m))
-    raw = np.empty((rows, 2 * m), dtype=np.uint64)
-    for lo in range(0, idx.size, rows):
-        ks = idx[lo:lo + rows]
-        for i, k in enumerate(ks.astype(np.int64).view(np.uint64).tolist()):
-            key[1] = k
+    size = _block_rows(n, idx.size)
+    uv, w = np.empty((2, size, 2 * m))
+    uv_rows = list(uv)
+    p = np.empty((size, n), dtype=np.intp)
+    buf = np.empty((size, n)) if out is None else None
+    for lo in range(0, idx.size, size):
+        ks = idx[lo:lo + size]
+        k = ks.size
+        for row, index in zip(uv_rows, ks.astype(np.int64).view(np.uint64).tolist()):
+            key[1] = index
             bitgen.state = state
-            raw[i] = bitgen.random_raw(2 * m)
-        g, short = _first_round(raw[:ks.size], n)
-        sq = np.vecdot(g, g)  # the same bytes as np.linalg.norm's dot
+            rng.random(out=row)
+        block = buf[:k] if out is None else out[lo:lo + k]
+        short = _first_round(uv[:k], block, w[:k], p[:k])
+        sq = np.vecdot(block, block)  # the same bytes as np.linalg.norm's dot
         redo = short | (sq == 0.0)
         sq[redo] = 1.0
-        block = out[lo:lo + ks.size]
-        np.divide(g, np.sqrt(sq)[:, None], out=block)
+        block /= np.sqrt(sq, out=sq)[:, None]
         for r in np.flatnonzero(redo):
             block[r] = sample(n, seed, int(ks[r])).theta
-        if not np.all(np.abs(np.sum(block * block, axis=1) - 1.0) <= 1e-12):
+        if not np.all(np.abs(np.vecdot(block, block) - 1.0) <= 1e-12):
             raise DomainError("weight vector must lie on the unit sphere")
-    return out
+        yield lo, block
 
 
 def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.ndarray:
@@ -146,13 +191,21 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
 
     A scalar index gives one WeightVector.  A 1-D integer index array gives
     the (len(index), n) matrix whose rows are those samples' weights, byte
-    for byte equal to drawing each row on its own.  Seeds and indices must
-    lie in [-2**63, 2**64); they key the stream modulo 2**64.
+    for byte equal to drawing each row on its own; any other array or
+    sequence raises DomainError.  Seeds and indices must lie in
+    [-2**63, 2**64); they key the stream modulo 2**64.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
-        return _sample_rows(n, seed, index)
+        out = np.empty((index.size, n))
+        for _ in _blocks(n, seed, index, out):
+            pass
+        return out
+    if np.ndim(index) != 0:
+        index = np.asarray(index)
+        raise DomainError("an index must be a scalar or a 1-D integer array, "
+                          f"not an array of shape {index.shape} and dtype {index.dtype}")
     key = np.array([_key(seed), _key(index)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     g = _polar_gaussians(rng, n)
@@ -235,12 +288,6 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     return _chi2_sf(dof, chi2)
 
 
-# Rows per block of concentration_report.  It only bounds the memory of the
-# block's temporaries: products are exact per element and each row is summed
-# on its own, so the statistics do not depend on it.
-_REPORT_ROWS = 1024
-
-
 def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dict:
     """Empirical violation frequencies vs. the concentration bounds.
 
@@ -255,15 +302,19 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
         raise DomainError("need n >= 4 and samples >= 1000")
     max_abs, cubes = np.empty(samples), np.empty(samples)
     abs_pow = {3: np.empty(samples), 4: np.empty(samples)}
-    for lo in range(0, samples, _REPORT_ROWS):
-        mat = sample(n, seed, np.arange(lo, min(lo + _REPORT_ROWS, samples)))
-        rows = slice(lo, lo + len(mat))
-        sq = mat * mat  # products, not pow: pow is slow on negative bases
-        cube = sq * mat
-        max_abs[rows] = np.max(np.abs(mat), axis=1)
-        cubes[rows] = np.sum(cube, axis=1)
-        abs_pow[3][rows] = np.sum(np.abs(cube), axis=1)
-        abs_pow[4][rows] = np.sum(sq * sq, axis=1)
+    # Products are exact per element and each row is summed on its own, so
+    # the statistics do not depend on the block size.  Each block is reduced
+    # in place, in its own buffer and one scratch block.
+    scratch = np.empty((_block_rows(n, samples), n))
+    for lo, mat in _blocks(n, seed, np.arange(samples)):
+        rows, sq = slice(lo, lo + len(mat)), scratch[:len(mat)]
+        np.max(np.abs(mat, out=sq), axis=1, out=max_abs[rows])
+        np.multiply(mat, mat, out=sq)  # products, not pow: pow is slow on negative bases
+        mat *= sq  # the cubes
+        np.sum(mat, axis=1, out=cubes[rows])
+        np.sum(np.abs(mat, out=mat), axis=1, out=abs_pow[3][rows])
+        sq *= sq
+        np.sum(sq, axis=1, out=abs_pow[4][rows])
 
     def entry(name, event_freq, bound):
         stderr = math.sqrt(max(event_freq * (1.0 - event_freq), 1.0 / samples) / samples)

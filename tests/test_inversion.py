@@ -371,6 +371,21 @@ def test_cdf_callable_is_checked_at_a_gridded_inputs_ends():
                 distance(a, b)
 
 
+def test_measure_is_checked_at_a_gridded_inputs_ends():
+    """The semicircle leaves 0.196 of its mass on each side of [-1, 1]: a
+    grid there cannot see it, so the measure is rejected like its CDF
+    callable, not read as a distance of 0.197."""
+    narrow = recover(semicircle_g, -1, 1, points=201, eta=1e-2)
+    for law in (Measure.semicircle(1.0), semicircle_cdf):
+        for distance in (kolmogorov, levy):
+            with pytest.raises(DomainError, match="ends -1 and 1 of the gridded"):
+                distance(narrow, law)
+            with pytest.raises(DomainError, match="ends -1 and 1 of the gridded"):
+                distance(law, narrow)
+    wide = recover(semicircle_g, -4, 4, points=801, eta=1e-2)
+    assert kolmogorov(wide, Measure.semicircle(1.0)) < 0.01
+
+
 def test_cdf_at_interpolates():
     d = recover(semicircle_g, -4, 4, points=2001, eta=1e-3)
     mid = d.cdf_at(np.array([0.0]))[0]

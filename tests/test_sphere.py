@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,10 +108,10 @@ def test_zero_row_in_a_batch_takes_the_scalar_path(monkeypatch):
     """A batched row of norm 0 is redrawn by the scalar sampler."""
     first_round = sphere._first_round
 
-    def zero_row_one(raw, n):
-        g, short = first_round(raw, n)
-        g[1] = 0.0
-        return g, short
+    def zero_row_one(uv, out, *scratch):
+        short = first_round(uv, out, *scratch)
+        out[1] = 0.0
+        return short
 
     calls = []
 
@@ -183,6 +184,16 @@ def test_scalar_index_still_gives_weight_vector():
     assert np.array_equal(sample(6, 4, 7.9).theta, sample(6, 4, 7).theta)
 
 
+@pytest.mark.parametrize("index", [
+    np.zeros((2, 2), dtype=np.int64), np.array([1.0, 2.0]),
+    np.array([True, False]), [1, 2],
+], ids=["2d-int", "float", "bool", "list"])
+def test_sample_rejects_an_index_that_is_no_scalar_or_integer_vector(index):
+    arr = np.asarray(index)
+    with pytest.raises(DomainError, match=re.escape(f"shape {arr.shape} and dtype {arr.dtype}")):
+        sample(4, 0, index)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_sample_rejects_dimension_below_one(n):
     with pytest.raises(DomainError, match="n must be"):
@@ -223,6 +234,39 @@ def _full_matrix_report(n, samples, seed, A=4.0):
 @pytest.mark.parametrize("n", [5, 8, 13, 64])
 def test_concentration_report_matches_full_matrix(n):
     assert concentration_report(n, 2000, seed=n) == _full_matrix_report(n, 2000, n)
+
+
+# A block holds 1024 rows at n = 64 and 8192 at n <= 8 (m = 8); these counts
+# end in a partial block.
+@pytest.mark.parametrize("n,samples", [(64, 3 * 1024 + 100), (8, 8192 + 1000)])
+def test_concentration_report_matches_full_matrix_over_partial_blocks(n, samples):
+    rows = sphere._block_rows(n, samples)
+    assert samples > rows and samples % rows
+    assert concentration_report(n, samples, seed=1) == _full_matrix_report(n, samples, 1)
+
+
+_REPORT_FAULTS = """
+import resource
+from freeconv.sphere import concentration_report
+
+concentration_report(64, 100000, 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+concentration_report(64, 100000, 0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_report_draws_into_reused_buffers():
+    """A report of 100000 rows faults fewer than 20000 pages: its blocks
+    reuse one set of buffers.  Arrays allocated afresh for each block are
+    trimmed off the heap when freed and faulted back in at the next block,
+    about 148000 minor faults per call."""
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _REPORT_FAULTS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(res.stdout) < 20000
 
 
 def test_import_does_not_load_scipy_stats():
