@@ -31,6 +31,7 @@ memory is trimmed off the heap at one block and faulted back in at the next.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +203,12 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
         for _ in _blocks(n, seed, index, out):
             pass
         return out
-    if np.ndim(index) != 0:
+    try:
+        scalar = np.ndim(index) == 0
+    except ValueError:  # a ragged sequence has no shape
+        raise DomainError("an index must be a scalar or a 1-D integer array, "
+                          f"not the ragged sequence {reprlib.repr(index)}") from None
+    if not scalar:
         index = np.asarray(index)
         raise DomainError("an index must be a scalar or a 1-D integer array, "
                           f"not an array of shape {index.shape} and dtype {index.dtype}")

@@ -7,13 +7,16 @@ For measures nu_1..nu_n and z with Im z > 0, the system is
 
 where F_i is the reciprocal Cauchy transform of nu_i.  Its Jacobian in
 (Z_1..Z_n, w) is diagonal plus rank one, so eliminating dZ_i leaves a
-scalar Schur complement and one Newton step costs one pass over the atoms,
-like one fixed-point sweep.  Every point starts at the free-CLT prediction:
-the summands other than i act like the semicircle of their mean and
-variance, so Z_i = z - (m - m_i) - (v - v_i) G_{sc(v)}(z - m), with m and v
-the total mean and variance; for semicircle summands this is the fixed
-point itself.  A point whose Newton iterate is not finite or
-leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
+scalar Schur complement, and the step needs F_i and 1/F_i' alone.  The
+evaluator returns exactly those: an atomic law of k atoms in its pole-zero
+form costs k reciprocals per point (one per pole of F, one for 1/F'), a
+semicircle one division past its G, and the step itself divides by
+nothing but the scalar Schur complement.  Every point starts at the
+free-CLT prediction: the summands other than i act like the semicircle of
+their mean and variance, so Z_i = z - (m - m_i) - (v - v_i) G_{sc(v)}(z -
+m), with m and v the total mean and variance; for semicircle summands
+this is the fixed point itself.  A point whose Newton iterate is not
+finite or leaves Im Z_i >= Im z takes the plain sweep Z_i <- z + sum_{j != i}
 (F_j(Z_j) - Z_j) instead, which stays there because Im(F_j(v) - v) >= 0
 (Belinschi-Mai-Speicher).  Convergence is declared on the system residual,
 not on the step size, once it is below the tolerance or below the rounding
@@ -22,7 +25,8 @@ whichever is larger: at large |z| or for hundreds of coordinates that
 level exceeds any fixed absolute tolerance.  A point's outputs are
 written once, when it leaves the Newton loop.  What depends on the
 measures alone (the dedupe, the start's mean and variance terms, the
-stacked atom arrays) is built once per tuple of measures and cached.
+stacked atoms, poles and residues) is built once per tuple of measures
+and cached.
 A grid is solved in independent column tiles, run concurrently where
 BLAS leaves cores free (see solve_grid).
 """
@@ -85,13 +89,67 @@ class GridSolution(NamedTuple):
     converged: np.ndarray
 
 
-def _make_evaluator(measures):
-    """(F_i(Z_i), F_i'(Z_i)) on a (k, m) block of points in C+.
+def _poles(X, Wt, k):
+    """The zeros p_j of G in the gaps (x_j, x_{j+1}) of stacked atomic laws,
+    and the residues rho_j = 1/sum_i w_i/(p_j - x_i)^2 of -F there.
 
-    Atomic coordinates are summed over stacked atom arrays, one atom at a
-    time (F' = F^2 sum_j w_j/(Z - x_j)^2); semicircle coordinates are one
-    _semicircle_g block against a column of their variances (F' =
-    F/(2F - Z), from F^2 - Z F + variance = 0).
+    X and Wt are (K, a): column c holds a law's k[c] atoms and weights,
+    padded with its last atom at weight 0.  Returns P and R of shape
+    (K - 1, a), padded with the last atom and rho = 0.  G falls from +inf
+    to -inf across a gap, so each zero is found by Newton steps kept in a
+    shrinking bracket, all gaps at once, from the zero of the gap's two
+    atoms alone, p = (w_j x_{j+1} + w_{j+1} x_j)/(w_j + w_{j+1}): exact for
+    a two-atom law up to rounding, which the steps polish.
+    """
+    P = np.repeat(X[-1:], len(X) - 1, axis=0)
+    R = np.zeros_like(P)
+    gap, col = np.nonzero(np.arange(len(P))[:, None] < k - 1)
+
+    def g_and_slope(p):  # G and -G' at each gap's p, one atom row at a time
+        g = s = 0.0
+        for x, w in zip(X, Wt):
+            x = x[col]
+            t = w[col] / (p - x)
+            g = g + t
+            s = s + t / (p - x)
+        return g, s
+
+    a, b, wa, wb = X[gap, col], X[gap + 1, col], Wt[gap, col], Wt[gap + 1, col]
+    lo, hi = np.nextafter(a, b), np.nextafter(b, a)  # inside the gap
+    p = np.clip((wa * b + wb * a) / (wa + wb), lo, hi)
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    for _ in range(100):  # bisection alone needs at most 52 halvings
+        g, s = g_and_slope(p)
+        lo, hi = np.where(g > 0, p, lo), np.where(g < 0, p, hi)
+        pn = p + g / s
+        pn = np.where((lo <= pn) & (pn <= hi), pn, 0.5 * (lo + hi))
+        done = np.abs(pn - p) <= tol
+        p = pn
+        if done.all():
+            break
+    P[gap, col] = p
+    R[gap, col] = 1.0 / g_and_slope(p)[1]
+    return P, R
+
+
+def _make_evaluator(measures):
+    """(F_i(Z_i), 1/F_i'(Z_i)) on a (k, m) block of points in C+.
+
+    An atomic coordinate with atoms x_1 < ... < x_k of total weight W
+    takes F in its pole-zero form (Akhiezer) and 1/F' from F's partial
+    fractions, with the poles p_j and residues rho_j of _poles:
+
+        F = (Z - x_k)/W prod_{j<k} (Z - x_j)/(Z - p_j),
+        1/F' = 1/(1/W + sum_{j<k} rho_j/(Z - p_j)^2),
+
+    k reciprocals per point, one per pole and one for 1/F'.  Each atom
+    pairs with the pole to its right, so every factor stays near 1 at
+    large |Z| and F keeps its relative accuracy near an atom.  Rows with
+    fewer atoms than the most skip the missing poles by where= masks (the
+    first pole's term, which starts the sum, by its padded rho = 0).  A
+    semicircle coordinate is one _semicircle_g block against a column of
+    its variances, F = 1/G and 1/F' = 2 - Z G (from F^2 - Z F + variance
+    = 0).  The returned arrays are the caller's to overwrite.
     """
     is_atomic = np.array([mu.kind == "atomic" for mu in measures])
     # row indexers, slices (views, not copies) where the rows are contiguous
@@ -99,47 +157,56 @@ def _make_evaluator(measures):
                     else i for i in map(np.flatnonzero, (is_atomic, ~is_atomic)))
     atoms = [mu.atoms for mu in measures if mu.kind == "atomic"]
     V = np.array([[mu.variance_param] for mu in measures if mu.kind != "atomic"])
-    na = max(map(len, atoms), default=0)
-    # complex, as numpy would cast them at every use
-    X = np.zeros((na, len(atoms), 1), dtype=complex)
-    W = np.zeros((na, len(atoms), 1), dtype=complex)  # zero weight pads
-    for a, pairs in enumerate(atoms):
-        for j, (x, w) in enumerate(pairs):
-            X[j, a, 0], W[j, a, 0] = x, w
-    XW = list(zip(X, W))
+    k = np.array([len(a) for a in atoms], dtype=int)
+    K = k.max(initial=1)
+    X = np.array([[x for x, _ in a] + [a[-1][0]] * (K - len(a))
+                  for a in atoms]).reshape(-1, K).T
+    Wt = np.array([[w for _, w in a] + [0.0] * (K - len(a))
+                   for a in atoms]).reshape(-1, K).T
+    P, R = _poles(X, Wt, k)
+    # complex columns, as numpy would cast them at every use
+    last = X[-1, :, None].astype(complex)
+    inv_w = (1.0 / Wt.sum(axis=0))[:, None].astype(complex)
+    scaled = bool((inv_w != 1).any())
+    # the j-th pole term is a row's where it has more than j + 1 atoms
+    terms = [(x[:, None].astype(complex), p[:, None].astype(complex),
+              r[:, None].astype(complex),
+              True if (k > j + 1).all() else (k > j + 1)[:, None])
+             for j, (x, p, r) in enumerate(zip(X[:-1], P, R))]
 
     def atomic_part(Za):
-        F = dF = q = t = None  # later atoms reuse the buffers q and t
-        for x, w in XW:
-            # out=None allocates as Za - x would: the layout, and so the
-            # BLAS path and the bytes of c @ F, stay the same
-            q = np.reciprocal(np.subtract(Za, x, out=q), out=q)
-            if F is None:  # the first atom starts both sums: no zero start
-                F = w * q
-                q *= q
-                dF = w * q
-                continue
-            t = np.multiply(w, q, out=t)
-            F += t
+        F = np.subtract(Za, last)
+        if scaled:  # some W != 1
+            F *= inv_w
+        S = q = t = None  # S takes the first q; later poles reuse q and t
+        for x, p, r, on in terms:
+            q = np.reciprocal(np.subtract(Za, p, out=q), out=q)
+            t = np.subtract(Za, x, out=t)
+            t *= q
+            np.multiply(F, t, out=F, where=on)
             q *= q
-            dF += np.multiply(w, q, out=t)
-        np.reciprocal(F, out=F)
-        dF *= F
-        dF *= F
-        return F, dF
+            q *= r
+            if S is None:  # the first term starts S; rho = 0 pads it
+                S, q = q, None
+            else:
+                np.add(S, q, out=S, where=on)
+        if S is None:  # point masses only
+            S = np.zeros_like(F)
+        S += inv_w if scaled else 1.0
+        return F, np.reciprocal(S, out=S)
 
     def evaluate(Z):
         if not V.size:
             return atomic_part(Z)
         F = np.empty_like(Z)
-        dF = np.empty_like(Z)
+        inv = np.empty_like(Z)
         if atoms:
-            F[atomic], dF[atomic] = atomic_part(Z[atomic])
+            F[atomic], inv[atomic] = atomic_part(Z[atomic])
         Zs = Z[semi]
-        Fs = 1.0 / _semicircle_g(Zs, V)
-        F[semi] = Fs
-        dF[semi] = Fs / (2.0 * Fs - Zs)
-        return F, dF
+        Gs = _semicircle_g(Zs, V)
+        F[semi] = 1.0 / Gs
+        inv[semi] = 2.0 - Zs * Gs
+        return F, inv
 
     return evaluate
 
@@ -147,11 +214,13 @@ def _make_evaluator(measures):
 def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     """Newton steps on one tile until every point converges or max_iters;
     writes Z and the per-point outputs in place as points retire.  Converged
-    points leave the working set, so late steps only touch the stragglers."""
+    points leave the working set, so late steps only touch the stragglers.
+    evaluate gives (F, 1/F'), so a step divides only by the Schur
+    complement; the new Z is built in the 1/F' block."""
     idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
 
     for step in range(opts.max_iters + 1):
-        F, dF = evaluate(Zw)
+        F, inv = evaluate(Zw)
         w = c @ F / n
         s = c @ Zw
         sz = s - zw
@@ -171,10 +240,9 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
             idx, zw, Zw = idx[live], zw[live], Zw[:, live]
             w, sz = w[live], sz[live]
             F = F[:, live]  # one block at a time, so the old one goes first
-            dF = dF[:, live]
+            inv = inv[:, live]
         r = sz - (n - 1) * w
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = np.reciprocal(dF, out=dF)  # 1/F_i'
             e = F - w
             e *= inv  # e_i/F_i'
             dw = (c @ e - r) / (c @ inv - (n - 1))  # Schur complement
@@ -189,7 +257,7 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
             # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
             sweep.imag = np.maximum(sweep.imag, zw[bad].imag)
             Zn[:, bad] = sweep
-        del F, dF, inv, e  # free the block before the next evaluation
+        del F, inv, e  # free the block before the next evaluation
         Zw = Zn
 
 
@@ -197,7 +265,8 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
 def _setup(measures):
     """A solve's setup without init, built once per tuple of measures: each
     measure's coordinate (None if none collapsed), complex multiplicities
-    (as matmul casts them), the evaluator and the free-CLT start's terms (m,
+    (as matmul casts them), the (F, 1/F') evaluator with its atomic
+    coordinates' poles and residues, and the free-CLT start's terms (m,
     v summed over the multiplicities; Im _semicircle_g <= 0 exactly, so Im
     Z_i >= Im z needs no clamp; v = 0 needs no branch: v - v_i = 0)."""
     index = {}  # first-occurrence order; Measure is frozen, so hashable

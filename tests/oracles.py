@@ -3,7 +3,8 @@
 These are deliberately brute-force or closed-form and share no code with
 the library: non-crossing-partition sums for free cumulants, the exact
 Cauchy transform of the normalized n-fold convolution of a standardized
-two-atom measure, and the Levy and Delta_eps distances of two step CDFs
+two-atom measure, F and 1/F' of an atomic or semicircle law and the
+zeros of an atomic law's G in 40-digit arithmetic, and the Levy and Delta_eps distances of two step CDFs
 computed from their atoms alone.
 """
 
@@ -68,6 +69,49 @@ def binomial_convolution_g(p, n, z):
     root = np.where(root.imag < 0, -root, root)
     pref = 0.5 / (1.0 - z * (z / n + r / math.sqrt(n)))
     return pref * ((n - 2.0) * z / n - r / math.sqrt(n) - root)
+
+
+def atomic_f_mp(atoms, z, dps=40):
+    """F = 1/G and 1/F' = 1/(F^2 sum_j w_j/(z - x_j)^2) of the atomic law
+    with (position, weight) atoms at the point z, from the sum form in
+    dps-digit arithmetic, rounded to complex."""
+    import mpmath  # here, not at the top: the benchmark imports this module
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        g = mpmath.fsum(mpmath.mpf(w) / (z - x) for x, w in atoms)
+        dg = mpmath.fsum(mpmath.mpf(w) / (z - x) ** 2 for x, w in atoms)
+        return complex(1 / g), complex(g * g / dg)
+
+
+def semicircle_f_mp(variance, z, dps=40):
+    """F = (z + s)/2 and 1/F' = 2s/(z + s) of the semicircle law, s =
+    sqrt(z - e) sqrt(z + e) in principal roots, e = 2 sqrt(variance)
+    (s' = z/s), in dps-digit arithmetic, rounded to complex."""
+    import mpmath
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        e = 2 * mpmath.sqrt(mpmath.mpf(variance))
+        s = mpmath.sqrt(z - e) * mpmath.sqrt(z + e)
+        return complex((z + s) / 2), complex(2 * s / (z + s))
+
+
+def atomic_g_zeros_mp(atoms, dps=40):
+    """The zeros of G of the atomic law, one in each gap between
+    neighbouring atoms (G falls from +inf to -inf across it), by bisection
+    on the sign of G in dps-digit arithmetic."""
+    import mpmath
+    out = []
+    with mpmath.workdps(dps):
+        for (lo, _), (hi, _) in zip(atoms, atoms[1:]):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            for _ in range(4 * dps):
+                mid = (lo + hi) / 2
+                if mpmath.fsum(mpmath.mpf(w) / (mid - x) for x, w in atoms) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((lo + hi) / 2)
+    return out
 
 
 def catalan(k):

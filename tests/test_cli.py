@@ -298,7 +298,7 @@ def test_timestamp_present_unless_suppressed(tmp_path):
 GOLDEN = [
     ("857951c9f20c0edf6a1e397d20afb3346f52715e862f3c7d142e5c2b2bd82dc6",
      "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
-    ("319e99e8b0f555582cb9f9d67d634db74732871b5d322942f761aec476bff42b",
+    ("473472037aa2ceddc3fb3e65574a684ffb6aa94124d4034daa43b204788cb3f8",
      "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
      "--points 101"),
     ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
@@ -309,9 +309,9 @@ GOLDEN = [
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
-    ("95e091c32bfc2b5e9f3d93604925073cb343ebd75afbed6b5f8880a034b8e2b9",
+    ("fd1bfdf1ca27263b207e10df4851480d7bf5cb7611a39047518d281d5fd8ac29",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("9bc44141e4936dcede023780c3e8aef590e13451b99d7a999159081c37fa2467",
+    ("44d073e31ff07ba9dc3e7232a93ee07920ce1fc2bd008f6126e6b66071c741f6",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
@@ -319,9 +319,9 @@ GOLDEN = [
     ("bf7109b6a0c265b80a5b73307cf5f347c7393c860ea8ef50a41e979c81864a4e",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
-    ("7becad0c08acabc008555049de231adbaea33b7f9042eebf226aa40475aadfa7",
+    ("575359d7282b6ff7c422988d27f150bfa56a4ae904b5c1864c36e83b3e39f093",
      "residuals --preset bernoulli --n 4 --grid-points 9"),
-    ("c1ea74930ed0a7f1c2b76e97ccfe9b1ffd8b1d9a6cd0b5d1129761039d252bd3",
+    ("0503631ac3922a7f2481a66655215254bff6a4ca5df47d6e386eac4082616602",
      "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),
     ("5c69a25250d00f40efdddfc6ebfa56446abf991d0ba1ebba1939ceab83f0bd65",
      "sphere --n 4 --count 3 --seed 1"),

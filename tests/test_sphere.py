@@ -194,6 +194,14 @@ def test_sample_rejects_an_index_that_is_no_scalar_or_integer_vector(index):
         sample(4, 0, index)
 
 
+@pytest.mark.parametrize("index", [[1, [2]], [[0], [1, 2]]],
+                         ids=["scalar-and-list", "lists-of-two-lengths"])
+def test_sample_rejects_a_ragged_index(index):
+    """A ragged sequence has no shape; the error names it."""
+    with pytest.raises(DomainError, match=re.escape(f"ragged sequence {index!r}")):
+        sample(4, 0, index)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_sample_rejects_dimension_below_one(n):
     with pytest.raises(DomainError, match="n must be"):

@@ -15,10 +15,12 @@ from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, as_weights, sample
-from freeconv.subordination import (_TILE, SolveOptions, _setup, solve,
-                                    solve_grid, weighted_summands)
+from freeconv.subordination import (_TILE, SolveOptions, _make_evaluator,
+                                    _poles, _setup, solve, solve_grid,
+                                    weighted_summands)
 
-from oracles import binomial_convolution_g
+from oracles import (atomic_f_mp, atomic_g_zeros_mp, binomial_convolution_g,
+                     semicircle_f_mp)
 
 
 def test_single_measure_is_identity():
@@ -134,6 +136,131 @@ def test_reciprocal_subordination_relation():
         Fi = 1.0 / complex(cauchy(m, np.array([sol.Z[i]]))[0])
         assert Fi == pytest.approx(F, abs=1e-9)
     assert sum(sol.Z) - z == pytest.approx((len(ms) - 1) * F, abs=1e-9)
+
+
+def _random_law(rng, k):
+    w = rng.random(k) + 0.1
+    return Measure.atomic(rng.normal(size=k), w / w.sum())
+
+
+_rng = np.random.default_rng(26)
+# random laws of 1, 2, 3 and 7 atoms, one whose pole -1/2 is a double and
+# one of mass 1 + 9e-13, near the 1e-12 a Measure allows
+_KERNEL_LAWS = [_random_law(_rng, k) for k in (1, 2, 3, 7)] + [
+    Measure.atomic([-1.0, 1.0], [0.25, 0.75]),
+    Measure.atomic([0.0, 0.5, 2.0], [0.25, 0.5, 0.25 + 9e-13])]
+_WIDE_LAW = _random_law(_rng, 40)
+
+
+def _law_poles(laws):
+    """_poles on the laws' stacked atoms, one list of poles per law."""
+    K = max(len(mu.atoms) for mu in laws)
+    pad = [K - len(mu.atoms) for mu in laws]
+    X = np.array([[x for x, _ in mu.atoms] + [mu.atoms[-1][0]] * p
+                  for mu, p in zip(laws, pad)]).T
+    W = np.array([[w for _, w in mu.atoms] + [0.0] * p
+                  for mu, p in zip(laws, pad)]).T
+    P, _ = _poles(X, W, K - np.array(pad))
+    return [P[:len(mu.atoms) - 1, i] for i, mu in enumerate(laws)]
+
+
+def test_poles_interlace_the_atoms_and_match_the_zeros_of_g():
+    """Each pole lies strictly between its two atoms and within 4 ulps of
+    the 40-digit zero of G, on the scale at which double rounding of G's
+    terms can place that zero at all: sum w/|p - x| / sum w/(p - x)^2."""
+    for mu, poles in zip(_KERNEL_LAWS, _law_poles(_KERNEL_LAWS)):
+        x, w = np.array(mu.atoms).T
+        assert np.all((x[:-1] < poles) & (poles < x[1:]))
+        for p, zero in zip(poles, atomic_g_zeros_mp(mu.atoms)):
+            floor = np.sum(w / np.abs(p - x)) / np.sum(w / (p - x) ** 2)
+            assert abs(p - zero) <= 4 * np.spacing(max(abs(float(zero)), floor))
+    assert _law_poles(_KERNEL_LAWS)[-2][0] == -0.5
+
+
+def _relative_errors(laws, points):
+    """Per law, the relative errors of F and of 1/F' at its points, from
+    one evaluator over all the laws (rows of differing atom counts, row i
+    at points[i]), against the 40-digit sum form."""
+    m = max(map(len, points))
+    Z = np.array([list(z) + [z[0]] * (m - len(z)) for z in points])
+    F, inv = _make_evaluator(laws)(Z)
+    assert np.all(np.isfinite(F) & np.isfinite(inv))
+    errors = []
+    for mu, row, f, d in zip(laws, points, F, inv):
+        ref = np.array([atomic_f_mp(mu.atoms, z) for z in row]).T
+        errors.append((np.abs(f[:len(row)] / ref[0] - 1),
+                       np.abs(d[:len(row)] / ref[1] - 1)))
+    return errors
+
+
+def test_pole_zero_kernel_matches_the_sum_form_near_atoms_and_poles():
+    """1e-9 above an atom F keeps its relative accuracy.  1e-9 above a
+    pole p, F ~ 1/(Z - p) and 1/F' ~ (Z - p)^2, so a pole off the exact
+    zero p* by d moves them by d/1e-9 and 2d/1e-9 relative: that is the
+    bound beside 1e-13, and for the law whose pole is a double, d = 0."""
+    laws = _KERNEL_LAWS
+    at_atoms = [[x + 1e-9j for x, _ in mu.atoms] for mu in laws]
+    assert max(max(f.max(), d.max())
+               for f, d in _relative_errors(laws, at_atoms)) < 1e-13
+    poles = _law_poles(laws)
+    above = [p + 1e-9j if p.size else np.array([1e-9j]) for p in poles]
+    for mu, p, (f, d) in zip(laws, poles, _relative_errors(laws, above)):
+        shift = np.array([float(abs(a - b)) for a, b in
+                          zip(p, atomic_g_zeros_mp(mu.atoms))] or [0.0]) / 1e-9
+        assert np.all(f < 1e-13 + 1.5 * shift) and np.all(d < 1e-13 + 3 * shift)
+
+
+def test_each_row_holds_the_bytes_of_its_law_alone():
+    """A row with fewer atoms than the block's most skips the missing
+    poles (where= masks), so the other rows of a block move no byte of
+    it; a law of mass 1 still takes F = (Z - x_k) prod ..., no 1/W."""
+    Z = np.array([[0.3 + 0.2j, -1.1 + 1e-3j, 4.0 + 2.0j]] * len(_KERNEL_LAWS))
+    F, inv = _make_evaluator(_KERNEL_LAWS)(Z)
+    for i, mu in enumerate(_KERNEL_LAWS):
+        f, d = _make_evaluator([mu])(Z[i:i + 1])
+        assert np.array_equal(f[0], F[i]) and np.array_equal(d[0], inv[i])
+
+
+def test_pole_zero_kernel_at_large_z_does_not_overflow():
+    """At |Z| = 1e8 a product of 40 atom factors would overflow; the
+    paired factors (Z - x_j)/(Z - p_j) stay near 1."""
+    zs = 1e8 * np.exp(1j * np.array([0.01, 0.5, np.pi / 2, 3.0]))
+    laws = [_WIDE_LAW, _KERNEL_LAWS[2]]
+    assert max(max(f.max(), d.max())
+               for f, d in _relative_errors(laws, [zs, zs])) < 1e-13
+
+
+def test_semicircle_rows_match_the_closed_form():
+    """A semicircle row's F = 1/G and 1/F' = 2 - Z G against 40 digits,
+    away from the edges +-2 sqrt(variance), where 2 - Z G cancels."""
+    zs = np.array([0.3 + 0.2j, -3.0 + 1e-3j, 5.0 + 5.0j, 1e8j])
+    V = [0.5, 2.0]
+    F, inv = _make_evaluator([Measure.semicircle(v) for v in V])(
+        np.array([zs] * len(V)))
+    for v, f, d in zip(V, F, inv):
+        ref = np.array([semicircle_f_mp(v, z) for z in zs]).T
+        assert np.max(np.abs(f / ref[0] - 1)) < 1e-13
+        assert np.max(np.abs(d / ref[1] - 1)) < 1e-13
+
+
+def test_one_grid_over_laws_of_every_kind_meets_its_tolerance():
+    """A point mass, a two-atom, a three-atom and a semicircle row in one
+    block: the residual recomputed with cauchy from the returned Z is
+    within the solver's tolerance at every point."""
+    ms = [Measure.point(0.3), Measure.bernoulli(),
+          Measure.atomic([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]),
+          Measure.semicircle(0.5)]
+    zs = np.concatenate([np.linspace(-5, 5, 201) + 1e-3j,
+                         np.linspace(-5, 5, 21) + 1j, [1e6 + 1e6j]])
+    sol = solve_grid(ms, zs)
+    assert np.all(sol.converged)
+    F = np.array([1.0 / cauchy(mu, Zi) for mu, Zi in zip(ms, sol.Z)])
+    n = len(ms)
+    residual = np.maximum(np.abs(F - F[0]).max(axis=0),
+                          np.abs(sol.Z.sum(axis=0) - zs - (n - 1) * F[0]))
+    tol = np.maximum(SolveOptions().tol, 8 * np.finfo(float).eps * (
+        np.abs(zs) + np.abs(sol.Z.sum(axis=0)) + (n - 1) * np.abs(F[0])))
+    assert np.all(residual <= tol)
 
 
 def test_lower_half_plane_rejected():
@@ -388,11 +515,11 @@ _MIXED = [Measure.bernoulli().scale(0.5), Measure.binomial(0.2).scale(-0.7),
 
 
 @pytest.mark.parametrize("ms, m, digest", [
-    (_random_sum(4), 201, "97ebd097828b194b130c105ed560f282aa635c3cfd56b6c20c4774fdfd3a043a"),
-    (_random_sum(8), 201, "52a9e352b09471ff5316af1c7cb62efd8d1bae5c95e3ad09f569c9a91e9f9c12"),
-    (_random_sum(16), 2001, "600a86b01b2b5646ad5c9be4af4d5f37f50ce7521c82028017a7bd074bcefc61"),
-    (_random_sum(64), 500, "5bef26a1f8c8d0a5d69d5491524c0bb1ef1a241f23e083f3ce0af56e42c28c75"),
-    (_MIXED, 401, "b7a066c18533340e13679819ae3840450f419a8614f1d00899f46024b6e83540"),
+    (_random_sum(4), 201, "613c36823990c739acdeb2af6c9d95f51cd10505c02a4e58d407159d654ef2af"),
+    (_random_sum(8), 201, "6b7b32540f0bed1e4752815b33f990515afc27afafe413d2414a1204210cea05"),
+    (_random_sum(16), 2001, "780e3574c81dbc3cd9c3f608794d3225eea7dd686345d8dfb3bcaa6ce669727b"),
+    (_random_sum(64), 500, "48f35c77692766db636027f5a6d1a31a05828ab5e696f73e2406af0a71f50b57"),
+    (_MIXED, 401, "5ce5d1e324acad82bcceb966ee3a36e1d05cf9320fd82e0675ebf9432b8e57ef"),
 ], ids=["n4", "n8", "n16", "n64", "mixed"])
 def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
     """A call of at most one tile is one Newton loop over the whole block,
@@ -585,9 +712,9 @@ def test_identical_summands_solve_without_an_n_by_m_copy():
 
 @pytest.mark.parametrize("ms, digest", [
     ([Measure.bernoulli().scale(1 / 8)] * 64,
-     "f6b71eae2ee479dddd6156c6dbdfbc26cf51b45df3bda2b614504d7e3d7d7678"),
+     "6a93cd7eaeda9ce29cf1e4ca0c19c0fb919c5f02ce8c769034746bd66c68b86a"),
     ([Measure.bernoulli().scale(0.6), Measure.semicircle(0.16)] * 2,
-     "b6e54850a8576cea0c3383ca600bab8c5e1008b5b42314e41cf7ec87594a3cee"),
+     "78380f9d362c9752a2c1a984bf9470c05cfa28bdbc6b2b4028d8381022057a58"),
 ], ids=["one-measure", "two-measures"])
 def test_collapsed_z_equals_the_gathered_rows(ms, digest):
     """A broadcast (one distinct measure) or gathered (two) Z holds, bit
