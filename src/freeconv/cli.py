@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import (BranchCutError, DomainError, InversionError,
                      IterationError, OutOfDiscError)
-from .experiments import (_weights_for, functional_residuals, rate_experiment,
-                          rate_report_csv, support_experiment)
+from .experiments import (_recover_sum, _weights_for, functional_residuals,
+                          rate_experiment, rate_report_csv, support_experiment)
 from .inversion import (GriddedDistribution, csv_table, delta_eps, kolmogorov,
-                        levy, recover)
+                        levy)
 from .measures import Measure, arcsine_cdf
 from .sphere import concentration_report, sample_matrix, vector_stats
 from .subordination import DEFAULT_OPTIONS, SolveOptions, solve
@@ -98,8 +98,8 @@ def cmd_convolve(args) -> str:
     elif not (window > 0 and math.isfinite(2.0 * window)):  # NaN fails too
         raise DomainError("--window must be positive with a finite span")
     if args.density:
-        return recover(lambda zs: solve(measures, zs, opts).G,
-                       -window, window, points=args.points, eta=args.eta).to_csv()
+        return _recover_sum(measures, args.eta, args.points, opts,
+                            window)[0].to_csv()
     zs = np.linspace(-window, window, args.points) + 1j
     G = solve(measures, zs, opts).G
     return csv_table(["re_z", "im_z", "re_g", "im_g"],

@@ -26,39 +26,23 @@ from .sphere import WeightVector, as_weights, sample, vector_stats
 from .subordination import (DEFAULT_OPTIONS, SolveOptions, solve,
                             weighted_summands)
 
+_TILDE_A, _TILDE_EPS = 0.05, 0.2  # rate_experiment's delta_tilde: a and eps
+
 
 # ---------------------------------------------------------------------------
-# cubic roots: Cardano with a Newton polish step per root
+# cubic roots: numpy's, with a Newton polish step per root
 
 
 def cubic_roots(b: complex, c: complex, d: complex) -> tuple[complex, complex, complex]:
     """Roots of w^3 + b w^2 + c w + d with complex coefficients."""
     b, c, d = complex(b), complex(c), complex(d)
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    sq = np.sqrt(complex(disc))
-    # pick the larger-magnitude candidate to avoid cancellation
-    u3 = -q / 2.0 + sq
-    if abs(-q / 2.0 - sq) > abs(u3):
-        u3 = -q / 2.0 - sq
-    if u3 == 0.0:
-        roots = [-b / 3.0] * 3
-    else:
-        u = u3 ** (1.0 / 3.0)
-        zeta = complex(-0.5, math.sqrt(3.0) / 2.0)
-        roots = []
-        for k in range(3):
-            uk = u * zeta**k
-            t = uk - p / (3.0 * uk)
-            roots.append(t - b / 3.0)
 
     def polish(w):
         f = ((w + b) * w + c) * w + d
         fp = (3.0 * w + 2.0 * b) * w + c
         return w - f / fp if fp != 0.0 else w
 
-    return tuple(polish(w) for w in roots)
+    return tuple(polish(complex(w)) for w in np.roots([1.0, b, c, d]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +160,6 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                     seed: int = 0, eps: float = 0.5, eta: float = DEFAULT_ETA,
                     points: int = DEFAULT_POINTS,
                     opts: SolveOptions = DEFAULT_OPTIONS,
-                    tilde_a: float = 0.05, tilde_eps: float = 0.2,
                     tilde_u_points: int = 101) -> RateReport:
     """Distances from the weighted free sum to the semicircle law per n.
 
@@ -210,8 +193,8 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                 summands = weighted_summands(mu, theta)
                 sc = Measure.semicircle(1.0)
                 dt = delta_tilde(lambda z: solve(summands, z, opts).G,
-                                 lambda z: complex(cauchy(sc, z)), tilde_a,
-                                 tilde_eps, u_points=tilde_u_points)
+                                 lambda z: complex(cauchy(sc, z)), _TILDE_A,
+                                 _TILDE_EPS, u_points=tilde_u_points)
             rows.append(RateRow(n=n, rep=rep, seed=seed, weight_mode=weight_mode,
                                 delta=d, delta_err=err, delta_eps=de,
                                 delta_tilde=dt, levy=dl,
@@ -298,10 +281,9 @@ class SupportReport:
 
 def superconvergence_radius(mu: Measure, theta) -> float:
     """r_theta = 384 L^4 sum theta_i^4 + 3 |m_3 sum theta_i^3|."""
-    th = as_weights(theta)
-    L = mu.support_radius
-    return (384.0 * L**4 * float(np.sum(th**4))
-            + 3.0 * abs(mu.moment(3) * float(np.sum(th**3))))
+    st = vector_stats(theta)
+    return (384.0 * mu.support_radius**4 * st["sum_abs_pow"][4]
+            + 3.0 * abs(mu.moment(3) * st["sum_cubes"]))
 
 
 _CORE_LEVEL = 1e-3  # density level that marks detect_support's core
@@ -359,7 +341,7 @@ def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
         ck = bool(-2.0 - bound_kargin < detected[0] and detected[1] < 2.0 + bound_kargin)
     return SupportReport(
         n=th.size, L=L, m3=m3,
-        sum_theta4=float(np.sum(th**4)), sum_theta3=st["sum_cubes"],
+        sum_theta4=st["sum_abs_pow"][4], sum_theta3=st["sum_cubes"],
         sum_abs_theta3=st["sum_abs_pow"][3],
         r_theta=r_theta, bound_kargin=bound_kargin, bound_paper=bound_paper,
         preconditions_met=pre, detected_support=detected,
@@ -438,8 +420,7 @@ def functional_residuals(mu: Measure, theta, z_grid,
         res_q = abs(z1**2 - z * z1 + 1.0 - q)
 
         failure = None
-        w1, w2, w3 = cubic_roots(-z, 1.0 - I3, -r)
-        roots = sorted((w1, w2, w3), key=abs)
+        roots = sorted(cubic_roots(-z, 1.0 - I3, -r), key=abs)
         omega1 = roots[0]
         r2 = 4.0 * I3 + (2.0 * z - 3.0 * omega1) * omega1
         try:

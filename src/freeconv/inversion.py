@@ -72,17 +72,26 @@ class GriddedDistribution:
 
     @staticmethod
     def from_csv(text: str) -> "GriddedDistribution":
-        """Parse ``to_csv`` output; other '#' lines, such as the config
-        header the CLI writes first, are skipped."""
+        """Parse ``to_csv`` output, skipping other '#' lines such as the CLI's
+        config header.  Other text, a value that is not finite or a grid that
+        does not increase strictly raises DomainError."""
         lines = text.splitlines()
-        meta = next((l for l in lines if l.startswith("# eta=")), None)
-        if meta is None:
-            raise DomainError("density CSV has no '# eta=' line")
-        meta = {k: float(v) for k, v in (t.split("=") for t in meta[2:].split())}
-        body = [l for l in lines if l and not l.startswith("#")][1:]
-        arr = np.array([[float(v) for v in r] for r in csv.reader(body)])
+        meta = next((l[2:] for l in lines if l.startswith("# eta=")), "")
+        meta = dict(t.partition("=")[::2] for t in meta.split())
+        rows = list(csv.reader(l for l in lines if l and not l.startswith("#")))[1:]
+        if not rows or any(len(r) != 3 for r in rows):
+            raise DomainError("density CSV needs one or more rows of x,density,cdf")
+        try:
+            eta, tail_mass = float(meta["eta"]), float(meta["tail_mass"])
+            arr = np.array(rows, dtype=float)
+        except (KeyError, ValueError) as exc:
+            raise DomainError("density CSV needs a '# eta=<eta> tail_mass=<mass>' "
+                              f"line and numbers in its rows: {exc!r}") from None
+        if not (np.isfinite(arr).all() and math.isfinite(eta + tail_mass)
+                and (np.diff(arr[:, 0]) > 0.0).all()):
+            raise DomainError("density CSV needs finite values on a strictly increasing grid")
         return GriddedDistribution(grid=arr[:, 0], density=arr[:, 1], cdf=arr[:, 2],
-                                   eta=meta["eta"], tail_mass=meta["tail_mass"])
+                                   eta=eta, tail_mass=tail_mass)
 
 
 def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,

@@ -173,26 +173,35 @@ class Measure:
 
     @staticmethod
     def from_json(s: str) -> "Measure":
-        d = json.loads(s)
-        kind = d.get("kind")
+        """Parse ``to_json`` output; JSON of another shape raises DomainError."""
+        def field(obj, key, kind):  # obj[key], where a JSON object holds a kind
+            if not (isinstance(obj, dict) and isinstance(obj.get(key), kind)):
+                raise DomainError(f"a measure's JSON needs a {kind.__name__} "
+                                  f"{key!r} in {obj!r:.80}")
+            return obj[key]
+
+        d = json.loads(s, parse_int=float)  # so that every number is a float
+        kind = field(d, "kind", str)
         if kind == "atomic":
-            atoms = d["atoms"]
-            return Measure.atomic([a["x"] for a in atoms], [a["w"] for a in atoms])
+            atoms = field(d, "atoms", list)
+            return Measure.atomic([field(a, "x", float) for a in atoms],
+                                  [field(a, "w", float) for a in atoms])
         if kind == "semicircle":
-            return Measure.semicircle(d["variance"])
+            return Measure.semicircle(field(d, "variance", float))
         raise DomainError(f"unknown measure kind {kind!r}")
 
     @staticmethod
     def from_preset(name: str) -> "Measure":
-        """Parse a preset spec: bernoulli, binomial:<p>, semicircle:<c>."""
-        if name == "bernoulli":
-            return Measure.bernoulli()
-        if name.startswith("binomial:"):
-            return Measure.binomial(float(name.split(":", 1)[1]))
-        if name.startswith("semicircle"):
-            parts = name.split(":", 1)
-            c = float(parts[1]) if len(parts) == 2 else 1.0
-            return Measure.semicircle(c)
+        """Parse a preset spec: bernoulli, binomial:<p>, semicircle[:<c>]."""
+        kind, colon, arg = name.partition(":")
+        if name in ("bernoulli", "semicircle"):
+            return Measure.bernoulli() if name == "bernoulli" else Measure.semicircle(1.0)
+        if colon and kind in ("binomial", "semicircle"):
+            try:
+                value = float(arg)
+            except ValueError:
+                raise DomainError(f"measure preset {name!r} needs a number after ':'") from None
+            return getattr(Measure, kind)(value)  # the constructor of that name
         raise DomainError(f"unknown measure preset {name!r}")
 
 

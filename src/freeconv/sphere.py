@@ -119,10 +119,11 @@ def _first_round(uv: np.ndarray, out: np.ndarray, w: np.ndarray,
     p += m * np.arange(rows)[:, None]  # the pair's u (and s) in a row of 2m
     np.take(w.ravel(), p, out=out, mode="clip")
     f = w.ravel()[:out.size].reshape(out.shape)  # s is read: w is free
-    np.log(out, out=f)
-    f *= -2.0
-    f /= out
-    np.sqrt(f, out=f)
+    with np.errstate(divide="ignore", invalid="ignore"):  # short rows' junk s may be >= 1
+        np.log(out, out=f)
+        f *= -2.0
+        f /= out
+        np.sqrt(f, out=f)
     np.add(p, m, out=p, where=half)  # the pair's v
     np.take(uv.ravel(), p, out=out, mode="clip")
     out *= f
@@ -232,11 +233,12 @@ def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
 def vector_stats(theta) -> dict:
     """max|theta_i|, sum_i |theta_i|^k for k = 3 and 4, and sum of cubes."""
     t = as_weights(theta)
-    a = np.abs(t)
+    sq = t * t
+    cubes = sq * t
     return {
-        "max_abs": float(np.max(a)),
-        "sum_abs_pow": {k: float(np.sum(a**k)) for k in (3, 4)},
-        "sum_cubes": float(np.sum(t**3)),
+        "max_abs": float(np.max(np.abs(t))),
+        "sum_abs_pow": {3: float(np.sum(np.abs(cubes))), 4: float(np.sum(sq * sq))},
+        "sum_cubes": float(np.sum(cubes)),
     }
 
 

@@ -228,15 +228,13 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
                         np.abs(sz - (n - 1) * F[0]))
         tw = np.maximum(opts.tol, _ROUNDING * (np.abs(zw) + np.abs(s)
                                                 + (n - 1) * np.abs(w)))
-        live = rw > tw
-        if step == opts.max_iters or not live.any():
-            Z[:, idx], F0[idx], res[idx], tol[idx], iterations[idx] = (
-                Zw, F[0], rw, tw, step)
-            return
+        live = (rw > tw) & (step < opts.max_iters)
         if not live.all():
             out, done = idx[~live], ~live
             Z[:, out], F0[out], res[out], tol[out], iterations[out] = (
                 Zw[:, done], F[0, done], rw[done], tw[done], step)
+            if out.size == idx.size:  # every point retired
+                return
             idx, zw, Zw = idx[live], zw[live], Zw[:, live]
             w, sz = w[live], sz[live]
             F = F[:, live]  # one block at a time, so the old one goes first

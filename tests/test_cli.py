@@ -316,14 +316,14 @@ GOLDEN = [
      "--metric delta,levy --reps 2 --seed 3"),
     ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
      "support --preset bernoulli --n 16 --points 201"),
-    ("bf7109b6a0c265b80a5b73307cf5f347c7393c860ea8ef50a41e979c81864a4e",
+    ("f4e578fc7c0d09c44140aa0421dff92af488e5027365948eca590633dcf5e485",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
-    ("575359d7282b6ff7c422988d27f150bfa56a4ae904b5c1864c36e83b3e39f093",
+    ("e6c746dccff75cc7d6faa94797fd05f78b7a41d52444878469bbfd88b15cab7d",
      "residuals --preset bernoulli --n 4 --grid-points 9"),
-    ("0503631ac3922a7f2481a66655215254bff6a4ca5df47d6e386eac4082616602",
+    ("adbef229716af3b40848243c3c6bdf486cdfcdf16244240390a5a0036542a0db",
      "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),
-    ("5c69a25250d00f40efdddfc6ebfa56446abf991d0ba1ebba1939ceab83f0bd65",
+    ("b8ba30ef98001d4e2a30e94953a853df4e8b62a90051be4360567010eca27a31",
      "sphere --n 4 --count 3 --seed 1"),
     ("a6443a90bb32bf26e5e79cd98ed903db4ab06de40489b62d6b93b5ccef2ff419",
      "sphere --n 0 --count 0"),
@@ -341,6 +341,54 @@ def test_stdout_bytes_are_pinned(digest, cmdline, tmp_path, monkeypatch,
     assert run(cmdline.split() + ["--no-timestamp"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Malformed input from outside reaches each parser: every case raises
+# DomainError naming the fault, and the CLI exits 1 with a config error.
+@pytest.mark.parametrize("text, match", [
+    ('{"kind": "semicircle"}', "float 'variance'"),
+    ('{"kind": "atomic", "atoms": [{"x": 1.0}]}', "float 'w'"),
+    ('{"kind": "atomic", "atoms": 5}', "list 'atoms'"),
+    ("[1, 2]", "str 'kind'"),
+], ids=["no-variance", "atom-without-w", "atoms-not-a-list", "list"])
+def test_malformed_measure_json_is_config_error(text, match, tmp_path, capsys):
+    with pytest.raises(DomainError, match=match):
+        Measure.from_json(text)
+    (tmp_path / "mu.json").write_text(text)
+    assert run(["convolve", "--preset", str(tmp_path / "mu.json")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, match", [
+    ("semicircleX", "unknown measure preset"),
+    ("binomial", "unknown measure preset"),
+    ("semicircle:", "needs a number"),
+    ("binomial:half", "needs a number"),
+])
+def test_malformed_preset_is_config_error(name, match, capsys):
+    with pytest.raises(DomainError, match=match):
+        Measure.from_preset(name)
+    assert run(["convolve", "--preset", name]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+_CSV_HEAD = "# eta=0.001 tail_mass=0\nx,density,cdf\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    (_CSV_HEAD, "rows of x,density,cdf"),
+    (_CSV_HEAD + "0,0.2\n", "rows of x,density,cdf"),
+    ("# eta=0.001\nx,density,cdf\n0,0.2,0.4\n", "KeyError\\('tail_mass'\\)"),
+    (_CSV_HEAD + "0,zero,0.4\n", "ValueError"),
+    (_CSV_HEAD + "0,0.2,0.4\nnan,0.2,0.6\n", "finite values"),
+    (_CSV_HEAD + "0,0.2,0.4\n0,0.2,0.6\n", "strictly increasing"),
+], ids=["no-rows", "short-row", "no-tail-mass", "text", "nan-node", "repeated-node"])
+def test_malformed_density_csv_is_config_error(text, match, tmp_path, capsys):
+    with pytest.raises(DomainError, match=match):
+        GriddedDistribution.from_csv(text)
+    (tmp_path / "d.csv").write_text(text)
+    assert run(["distance", "--a", str(tmp_path / "d.csv"), "--b", "semicircle"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_csv_timestamp_is_second_line(capsys):

@@ -13,6 +13,7 @@ import pytest
 import freeconv
 from freeconv import sphere
 from freeconv.errors import DomainError
+from freeconv.measures import semicircle_cdf
 from freeconv.sphere import (WeightVector, concentration_report,
                              marginal_chi2_pvalue, marginal_density, sample,
                              sample_matrix, vector_stats)
@@ -173,7 +174,19 @@ def test_keys_outside_range_rejected(seed, index):
      "d23df37dcdbb56d4e6a928b451a604aaa0b98aa3bab47dc0e1a08452aa1f24d3"),
     (lambda: repr(concentration_report(64, 20000, 0)).encode(),
      "c4729ec4a6e4cd37ee423c52299a6182c5098d0880b02d31ae5dd39f60470dac"),
-], ids=["matrix64", "matrix3", "scalar5", "report64"])
+    # at n = 6..9 short rows read values outside (0, 1) before they are
+    # redrawn: under this module's filterwarnings("error") no RuntimeWarning
+    # may escape, and no byte may move
+    (lambda: sample_matrix(6, 20000, 0).tobytes(),
+     "ec2651b9174d66195c2b3ef59ff5a87a1d342052183884a04ad0957ea94672b0"),
+    (lambda: sample_matrix(7, 20000, 0).tobytes(),
+     "bd29e0e7b462bca897a477f83e51ae9ba1c6aa4510c830b5bd522083725478bd"),
+    (lambda: sample_matrix(8, 20000, 0).tobytes(),
+     "813250d299e29d780da63dd0d2bc81f8dabc830ab8f3e17f0f20d462f55994be"),
+    (lambda: sample_matrix(9, 20000, 0).tobytes(),
+     "62ed90b1db04ba8307ef531e8bce0e674a1a0263e55424b51972f616a57bb62f"),
+], ids=["matrix64", "matrix3", "scalar5", "report64", "matrix6", "matrix7",
+        "matrix8", "matrix9"])
 def test_golden_digests(make, digest):
     assert hashlib.sha256(make()).hexdigest() == digest
 
@@ -329,6 +342,21 @@ def test_marginal_chi2_accepts_true_distribution():
     samples = sample_matrix(32, 20000, seed=77)
     p = marginal_chi2_pvalue(32, samples)
     assert p > 0.001
+
+
+def test_marginal_chi2_with_no_pooled_bin_matches_scipy():
+    """At n = 4 with 2000 rows every bin expects 5 or more (13.3 at the
+    fewest), so no bin is pooled and the empty pool is dropped: the p-value
+    is scipy's chisquare on the 40 bins, with counts expected from the
+    n = 4 marginal, the semicircle law (within the trapezoid's error)."""
+    from scipy.stats import chisquare
+    samples = sample_matrix(4, 2000, seed=0)
+    edges = np.linspace(-2.0, 2.0, 41)
+    obs, _ = np.histogram(2.0 * samples[:, 0], bins=edges)
+    exp = 2000 * np.diff(semicircle_cdf(edges))
+    assert exp.min() >= 5.0
+    assert marginal_chi2_pvalue(4, samples) == pytest.approx(
+        chisquare(obs, exp).pvalue, rel=1e-2)
 
 
 def test_chi2_tail_matches_scipy():
