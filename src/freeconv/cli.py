@@ -28,7 +28,7 @@ from .experiments import (_recover_sum, _weights_for, functional_residuals,
 from .inversion import (GriddedDistribution, csv_table, delta_eps, kolmogorov,
                         levy)
 from .measures import Measure, arcsine_cdf
-from .sphere import concentration_report, sample_matrix, vector_stats
+from .sphere import _sample_stats, concentration_report
 from .subordination import DEFAULT_OPTIONS, SolveOptions, solve
 
 CONFIG_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
@@ -151,6 +151,8 @@ def cmd_support(args) -> dict:
 
 
 def cmd_residuals(args) -> str:
+    if args.grid_points < 1:
+        raise DomainError("--grid-points must be >= 1")
     mu = _load_measure(args.preset)
     theta = _weights_for(args.n, args.weights, args.seed, 0)
     side = max(2, int(round(math.sqrt(args.grid_points))))
@@ -169,12 +171,9 @@ def cmd_residuals(args) -> str:
 
 def cmd_sphere(args) -> str:
     # with no rows, nothing is drawn and n is not checked
-    thetas = sample_matrix(args.n, args.count, args.seed) if args.count else []
-    stats = map(vector_stats, thetas)
+    stats = _sample_stats(args.n, args.count, args.seed) if args.count else np.empty((4, 0))
     return csv_table(["index", "max_abs", "sum_abs3", "sum_abs4", "sum_cubes"],
-                     ((i, st["max_abs"], st["sum_abs_pow"][3],
-                       st["sum_abs_pow"][4], st["sum_cubes"])
-                      for i, st in enumerate(stats)))
+                     ((i, *row) for i, row in enumerate(stats.T.tolist())))
 
 
 def cmd_concentration(args) -> dict:

@@ -9,7 +9,8 @@ with m_0 = 1.  The inner sum is the coefficient of t^{n-s} in M(t)^s,
 M(t) = sum_i m_i t^i; both directions grow the table of those coefficients
 one degree at a time, so each needs O(N^3) flops in N vectorized steps.  An
 exponential enumeration over non-crossing partitions is kept as a test
-oracle only (see tests).
+oracle only (see tests).  phi_theta's powers of the weights are running
+products, as vector_stats' are, so its m = 3 and 4 sums are the same bytes.
 """
 
 from __future__ import annotations
@@ -87,20 +88,13 @@ def kargin_bound_check(mu: Measure, order: int) -> list[dict]:
     return report
 
 
-def _power_sums(th, order: int) -> list[float]:
-    """sum_i th_i^m for m = 1..order in one pass, bit for bit the per-m
-    float(np.sum(th**m)): numpy takes th**2 as a square, not pow."""
-    powers = th ** np.arange(1.0, order + 1.0)[:, None]
-    powers[1:2] = np.square(th)
-    return powers.sum(axis=1).tolist()
-
-
 def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     """Truncated series of sum_i K_{D_{theta_i} mu}(z) - (n-1)/z.
 
     Uses kappa_m(D_c mu) = c^m kappa_m(mu), so the value equals
     1/z + sum_{m=1}^{N} kappa_m(mu) (sum_i theta_i^m) z^{m-1}.
-    Valid inside 0 < |z| < 1/(6 L max_i |theta_i|).
+    Valid inside 0 < |z| < 1/(6 L max_i |theta_i|).  theta^m is the running
+    product theta^(m-1) * theta, one np.cumprod row summed on its own.
     """
     z = complex(z)
     th = as_weights(theta)
@@ -109,9 +103,10 @@ def phi_theta(mu: Measure, theta, z, order: int = DEFAULT_ORDER) -> complex:
     if abs(z) == 0.0 or (L > 0.0 and tmax > 0.0 and abs(z) >= 1.0 / (6.0 * L * tmax)):
         raise OutOfDiscError("phi_theta requires 0 < |z| < 1/(6 L max|theta_i|)")
     kappa = measure_cumulants(mu, order)
+    sums = np.cumprod(np.broadcast_to(th, (order, th.size)), axis=0).sum(axis=1)
     acc = 1.0 / z
     zp = 1.0 + 0j
-    for k, s in zip(kappa, _power_sums(th, order)):
+    for k, s in zip(kappa, sums.tolist()):
         acc += k * s * zp
         zp *= z
     return acc

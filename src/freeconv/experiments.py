@@ -396,8 +396,8 @@ def functional_residuals(mu: Measure, theta, z_grid,
     sol = solve(measures, zs, opts)
     Fs = np.stack([1.0 / cauchy(m, Z) for m, Z in zip(measures, sol.Z)])
     m3 = mu.moment(3)
-    t2 = th**2
-    t3 = th**3
+    t2 = th * th
+    t3 = t2 * th
     out = []
     for z, Z, F in zip(zs, sol.Z.T, Fs.T):
         z1 = Z[0]

@@ -173,14 +173,18 @@ class Measure:
 
     @staticmethod
     def from_json(s: str) -> "Measure":
-        """Parse ``to_json`` output; JSON of another shape raises DomainError."""
+        """Parse ``to_json`` output; text that is not JSON, or JSON of
+        another shape, raises DomainError."""
         def field(obj, key, kind):  # obj[key], where a JSON object holds a kind
             if not (isinstance(obj, dict) and isinstance(obj.get(key), kind)):
                 raise DomainError(f"a measure's JSON needs a {kind.__name__} "
                                   f"{key!r} in {obj!r:.80}")
             return obj[key]
 
-        d = json.loads(s, parse_int=float)  # so that every number is a float
+        try:
+            d = json.loads(s, parse_int=float)  # so that every number is a float
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"a measure's JSON does not parse: {exc}") from None
         kind = field(d, "kind", str)
         if kind == "atomic":
             atoms = field(d, "atoms", list)

@@ -23,9 +23,11 @@ norm is 0.
 
 One block generator serves a whole draw, with one Philox, one state dict
 and one set of buffers: ``sample`` has it write straight into the returned
-matrix, and ``concentration_report`` reduces each block in place, forming
-its power sums from products, not ``pow``.  No block allocates, so no
-memory is trimmed off the heap at one block and faulted back in at the next.
+matrix, and ``concentration_report`` and the ``sphere`` command reduce
+each block in place by the one row reducer every weight statistic comes
+from, whose powers are running products, theta^m = theta^(m-1) * theta.
+No block allocates, so no memory is trimmed off the heap at one block and
+faulted back in at the next.
 """
 
 from __future__ import annotations
@@ -230,16 +232,40 @@ def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     return sample(n, seed, np.arange(count))
 
 
+def _row_stats(mat: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write each row's max|theta_i|, sum |theta_i|^3, sum theta_i^4 and
+    sum theta_i^3 into out[0..3], overwriting mat and scratch (mat's shape).
+    Each row is summed on its own: alone or in a block, the same bytes."""
+    np.max(np.abs(mat, out=scratch), axis=1, out=out[0])
+    np.multiply(mat, mat, out=scratch)  # products, not pow: pow is slow on negative bases
+    scratch *= mat  # the cubes
+    np.sum(scratch, axis=1, out=out[3])
+    mat *= scratch  # the fourth powers
+    np.sum(mat, axis=1, out=out[2])
+    np.sum(np.abs(scratch, out=scratch), axis=1, out=out[1])
+
+
 def vector_stats(theta) -> dict:
-    """max|theta_i|, sum_i |theta_i|^k for k = 3 and 4, and sum of cubes."""
-    t = as_weights(theta)
-    sq = t * t
-    cubes = sq * t
-    return {
-        "max_abs": float(np.max(np.abs(t))),
-        "sum_abs_pow": {3: float(np.sum(np.abs(cubes))), 4: float(np.sum(sq * sq))},
-        "sum_cubes": float(np.sum(cubes)),
-    }
+    """max|theta_i|, sum_i |theta_i|^k for k = 3 and 4, and sum of cubes:
+    the row reducer's, run on a one-row copy of the weights."""
+    row = np.array(as_weights(theta), ndmin=2)
+    out = np.empty((4, 1))
+    _row_stats(row, np.empty_like(row), out)
+    max_abs, abs3, abs4, cubes = out[:, 0].tolist()
+    return {"max_abs": max_abs, "sum_abs_pow": {3: abs3, 4: abs4}, "sum_cubes": cubes}
+
+
+def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
+    """The (4, count) row statistics of sample_matrix(n, count, seed), from
+    the row reducer: each block is reduced in place, in the draw's buffer
+    and one scratch block, so no block allocates."""
+    if n < 1 or count < 0:
+        raise DomainError("need n >= 1 and count >= 0")
+    stats = np.empty((4, count))
+    scratch = np.empty((_block_rows(n, count), n))
+    for lo, mat in _blocks(n, seed, np.arange(count)):
+        _row_stats(mat, scratch[:len(mat)], stats[:, lo:lo + len(mat)])
+    return stats
 
 
 def marginal_density(n: int, x):
@@ -299,61 +325,34 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
 def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dict:
     """Empirical violation frequencies vs. the concentration bounds.
 
-    Checks, per entry: the max-coordinate bound (8/(A sqrt(2 pi)))/n for
-    A >= 4; the power-sum bounds exp(-(rn)^{2/k}) with B_3 = 33, B_4 = 121,
-    r = 1; and the cube-sum bound P(|sum theta_i^3| >= 10/(sqrt(n) log n))
-    < 2/sqrt(n).  Each record carries the bound, the empirical frequency,
-    its Monte Carlo standard error and a pass flag
-    (empirical <= bound + 3 stderr).
+    Checks, per entry: the max-coordinate bound (8/(A sqrt(2 pi)))/n for a
+    finite A >= 4; the power-sum bounds exp(-(rn)^{2/k}) with B_3 = 33,
+    B_4 = 121, r = 1; and the cube-sum bound P(|sum theta_i^3| >=
+    10/(sqrt(n) log n)) < 2/sqrt(n).  Each record carries the bound, the
+    empirical frequency, its Monte Carlo standard error and a pass flag
+    (empirical <= bound + 3 stderr).  The row statistics are vector_stats'.
     """
     if n < 4 or samples < 1000:
         raise DomainError("need n >= 4 and samples >= 1000")
-    max_abs, cubes = np.empty(samples), np.empty(samples)
-    abs_pow = {3: np.empty(samples), 4: np.empty(samples)}
-    # Products are exact per element and each row is summed on its own, so
-    # the statistics do not depend on the block size.  Each block is reduced
-    # in place, in its own buffer and one scratch block.
-    scratch = np.empty((_block_rows(n, samples), n))
-    for lo, mat in _blocks(n, seed, np.arange(samples)):
-        rows, sq = slice(lo, lo + len(mat)), scratch[:len(mat)]
-        np.max(np.abs(mat, out=sq), axis=1, out=max_abs[rows])
-        np.multiply(mat, mat, out=sq)  # products, not pow: pow is slow on negative bases
-        mat *= sq  # the cubes
-        np.sum(mat, axis=1, out=cubes[rows])
-        np.sum(np.abs(mat, out=mat), axis=1, out=abs_pow[3][rows])
-        sq *= sq
-        np.sum(sq, axis=1, out=abs_pow[4][rows])
+    if not 4.0 <= A < math.inf:  # NaN fails too
+        raise DomainError(f"A must be finite and >= 4, not {A!r}")
+    max_abs, abs3, abs4, cubes = _sample_stats(n, samples, seed)
 
-    def entry(name, event_freq, bound):
-        stderr = math.sqrt(max(event_freq * (1.0 - event_freq), 1.0 / samples) / samples)
-        return {
-            "name": name,
-            "bound": bound,
-            "empirical": event_freq,
-            "stderr": stderr,
-            "pass": event_freq <= bound + 3.0 * stderr,
-        }
+    def entry(name, event, bound):  # event: which rows break the bound
+        freq = float(np.mean(event))
+        stderr = math.sqrt(max(freq * (1.0 - freq), 1.0 / samples) / samples)
+        return {"name": name, "bound": bound, "empirical": freq, "stderr": stderr,
+                "pass": freq <= bound + 3.0 * stderr}
 
-    report = {"n": n, "samples": samples, "seed": seed, "checks": []}
-
-    thresh = A * math.sqrt(math.log(n) / n)
-    freq = float(np.mean(max_abs > thresh))
-    report["checks"].append(entry("max_coordinate", freq, 8.0 / (A * math.sqrt(2 * math.pi)) / n))
-
-    for k, bk in ((3, 33.0), (4, 121.0)):
-        thresh = bk / n ** ((k - 2) / 2.0)
-        freq = float(np.mean(abs_pow[k] >= thresh))
-        report["checks"].append(entry(f"power_sum_k{k}", freq,
-                                      math.exp(-(n ** (2.0 / k)))))
-
-    thresh = 10.0 / (math.sqrt(n) * math.log(n))
-    freq = float(np.mean(np.abs(cubes) >= thresh))
-    report["checks"].append(entry("cube_sum", freq, 2.0 / math.sqrt(n)))
-
+    checks = [entry("max_coordinate", max_abs > A * math.sqrt(math.log(n) / n),
+                    8.0 / (A * math.sqrt(2 * math.pi)) / n)]
+    for k, bk, sums in ((3, 33.0, abs3), (4, 121.0, abs4)):
+        checks.append(entry(f"power_sum_k{k}", sums >= bk / n ** ((k - 2) / 2.0),
+                            math.exp(-(n ** (2.0 / k)))))
+    checks.append(entry("cube_sum", np.abs(cubes) >= 10.0 / (math.sqrt(n) * math.log(n)),
+                        2.0 / math.sqrt(n)))
     t = 5.0
-    freq = float(np.mean(np.abs(cubes) >= t / n))
-    report["checks"].append(entry("cube_sum_t", freq,
-                                  2.0 * math.exp(-(t ** (2.0 / 3.0)) / 23.0)))
-
-    report["all_pass"] = all(c["pass"] for c in report["checks"])
-    return report
+    checks.append(entry("cube_sum_t", np.abs(cubes) >= t / n,
+                        2.0 * math.exp(-(t ** (2.0 / 3.0)) / 23.0)))
+    return {"n": n, "samples": samples, "seed": seed, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks)}

@@ -12,6 +12,7 @@ from freeconv.cli import main
 from freeconv.errors import DomainError
 from freeconv.inversion import GriddedDistribution
 from freeconv.measures import Measure, semicircle_density
+from freeconv.sphere import concentration_report, sample_matrix, vector_stats
 
 
 def run(args):
@@ -171,6 +172,38 @@ def test_residuals_command(tmp_path):
     assert max(vals) < 1e-7
 
 
+def test_sphere_rows_are_vector_stats_of_each_sampled_row(capsys):
+    """The command reduces the sampled rows block by block; each printed
+    row is vector_stats of that sampled row, bit for bit.  n = 8 draws rows
+    whose first round falls short and are drawn again one by one."""
+    assert run(["sphere", "--n", "8", "--count", "2000", "--no-timestamp"]) == 0
+    body = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert body[0] == "index,max_abs,sum_abs3,sum_abs4,sum_cubes"
+    for i, (line, row) in enumerate(zip(body[1:], sample_matrix(8, 2000, 0), strict=True)):
+        st = vector_stats(row)
+        assert line.split(",") == [str(i)] + ["%.17g" % v for v in (
+            st["max_abs"], st["sum_abs_pow"][3], st["sum_abs_pow"][4], st["sum_cubes"])]
+
+
+@pytest.mark.parametrize("A", ["0", "-1", "nan", "inf", "3.99"])
+def test_concentration_A_outside_its_range_is_config_error(A, capsys):
+    with pytest.raises(DomainError, match="A must be finite and >= 4"):
+        concentration_report(8, 1000, 0, A=float(A))
+    assert run(["concentration", "--n", "8", "--samples", "1000", "--A", A,
+                "--output", "-"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-4"])
+def test_residuals_grid_points_below_one_is_config_error(points, capsys):
+    argv = ["residuals", "--preset", "bernoulli", "--n", "4",
+            "--grid-points", points, "--output", "-"]
+    with pytest.raises(DomainError, match="--grid-points must be >= 1"):
+        cli.cmd_residuals(cli.build_parser().parse_args(argv))
+    assert run(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_output_to_unwritable_path_is_io_error(tmp_path):
     code = run(["sphere", "--n", "8", "--count", "1", "--seed", "0",
                 "--output", str(tmp_path / "missing_dir" / "x.csv")])
@@ -316,14 +349,14 @@ GOLDEN = [
      "--metric delta,levy --reps 2 --seed 3"),
     ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
      "support --preset bernoulli --n 16 --points 201"),
-    ("f4e578fc7c0d09c44140aa0421dff92af488e5027365948eca590633dcf5e485",
+    ("150c5a8d7cdc2884b68d7baca43a8f5a2d3dbdafebea9660ccc632c40b85545d",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
     ("e6c746dccff75cc7d6faa94797fd05f78b7a41d52444878469bbfd88b15cab7d",
      "residuals --preset bernoulli --n 4 --grid-points 9"),
     ("adbef229716af3b40848243c3c6bdf486cdfcdf16244240390a5a0036542a0db",
      "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),
-    ("b8ba30ef98001d4e2a30e94953a853df4e8b62a90051be4360567010eca27a31",
+    ("03aaf2a5f4023eff003e132391bcd5a972b86c07467b2e3037ce424fcefb53bf",
      "sphere --n 4 --count 3 --seed 1"),
     ("a6443a90bb32bf26e5e79cd98ed903db4ab06de40489b62d6b93b5ccef2ff419",
      "sphere --n 0 --count 0"),
@@ -350,7 +383,8 @@ def test_stdout_bytes_are_pinned(digest, cmdline, tmp_path, monkeypatch,
     ('{"kind": "atomic", "atoms": [{"x": 1.0}]}', "float 'w'"),
     ('{"kind": "atomic", "atoms": 5}', "list 'atoms'"),
     ("[1, 2]", "str 'kind'"),
-], ids=["no-variance", "atom-without-w", "atoms-not-a-list", "list"])
+    ('{"kind": ', "does not parse: Expecting value"),
+], ids=["no-variance", "atom-without-w", "atoms-not-a-list", "list", "syntax-error"])
 def test_malformed_measure_json_is_config_error(text, match, tmp_path, capsys):
     with pytest.raises(DomainError, match=match):
         Measure.from_json(text)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.cumulants import (_power_sums, cumulants_to_moments,
-                                kargin_bound_check, measure_cumulants,
-                                moments_to_cumulants, phi_theta)
+from freeconv.cumulants import (cumulants_to_moments, kargin_bound_check,
+                                measure_cumulants, moments_to_cumulants,
+                                phi_theta)
 from freeconv.errors import DomainError, OutOfDiscError
 from freeconv.measures import Measure
-from freeconv.sphere import WeightVector, sample
+from freeconv.sphere import WeightVector, sample, sample_matrix, vector_stats
 
 from oracles import moments_from_cumulants_nc
 
@@ -126,15 +126,27 @@ def test_phi_theta_near_identity_bound():
         assert abs(val - 1.0 / z - z) <= bound + 1e-12
 
 
+def test_power_sums_agree_with_vector_stats():
+    """The running-product sums of theta^3 and theta^4, phi_theta's m = 3
+    and 4 terms, are vector_stats' sum of cubes and of fourth powers bit
+    for bit.  Over these 500 rows the sum of th**3 (pow) differs from the
+    product form for 220, and the sum of th^2 * th^2 from that of
+    th^3 * th for 118."""
+    for th in sample_matrix(32, 500, 0):
+        cubes, st = th * th * th, vector_stats(th)
+        assert ((float(np.sum(cubes)), float(np.sum(cubes * th)))
+                == (st["sum_cubes"], st["sum_abs_pow"][4]))
+
+
 @pytest.mark.parametrize("n, seed", [(1, 0), (32, 21), (256, 8), (1024, 37)])
 def test_phi_theta_power_sums_are_bit_identical_to_per_m_sums(n, seed):
-    """The one-pass power sums and phi_theta equal the per-m
-    float(np.sum(th**m)) form bit for bit.  At n > 1 these seeds are ones
-    where pow(th, 2), unlike th**2 (numpy's square), moves the last bit of
-    the m = 2 sum."""
+    """phi_theta equals the series summed from per-m power sums bit for bit,
+    each sum float(np.sum(p)) of the running product p = th^(m-1) * th."""
     mu, th = Measure.binomial(0.25), sample(n, seed).theta
-    per_m = [float(np.sum(th**m)) for m in range(1, 33)]
-    assert _power_sums(th, 32) == per_m
+    per_m, p = [], th
+    for _ in range(32):
+        per_m.append(float(np.sum(p)))
+        p = p * th
     kappa = measure_cumulants(mu, 32)
     rng = np.random.default_rng(seed)
     radius = 1.0 / (6.0 * mu.support_radius * np.max(np.abs(th)))
