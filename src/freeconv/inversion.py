@@ -1,9 +1,11 @@
 """Stieltjes-Perron recovery at height eta and distance functionals.
 
-``recover`` samples density(x) = -(1/pi) Im G(x + i eta) on a uniform grid;
-the CDF is a cumulative trapezoid plus a left-tail correction derived from
-the 1/z asymptote of G (for x0 left of the support, the smoothed tail mass
-is approximately -(eta/pi) Re G(x0 + i eta)).  Distances compare the
+``recover`` samples density(x) = -(1/pi) Im G(x + i eta) on a uniform grid
+that is exactly its own mirror image on a window [-R, R], so a caller that
+knows the law is symmetric can solve half of it.  The CDF is a cumulative
+trapezoid plus a left-tail correction derived from the 1/z asymptote of G
+(for x0 left of the support, the smoothed tail mass is approximately
+-(eta/pi) Re G(x0 + i eta)).  Distances compare the
 eta-smoothed CDFs of both inputs unless a measure or an analytic CDF is
 supplied, in which case that side is exact.  The Kolmogorov, Levy and
 Delta_eps distances are exact, in one pass, for the piecewise-linear CDFs
@@ -98,12 +100,27 @@ def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,
             eta: float = DEFAULT_ETA) -> GriddedDistribution:
     """Recover the eta-smoothed density/CDF of the measure behind g_eval.
 
-    ``g_eval`` maps a complex numpy array in C+ to G values.  A density dip
-    below -1e-12 signals a broken transform and raises InversionError.
+    ``g_eval`` maps a complex numpy array in C+ to G values.  The grid is
+    c + h t_k, c = (x_min + x_max)/2, h = (x_max - x_min)/2, with
+    t_k = (2k - (points - 1))/(points - 1) and its ends set to x_min and
+    x_max: t_{points-1-k} = -t_k exactly, so a window [-R, R] gives a grid
+    that is its own mirror image bit for bit (0 at the centre of an odd
+    count), which np.linspace's does not.  A density dip below -1e-12
+    signals a broken transform and raises InversionError.  Non-finite or
+    unordered ends, an eta that is not finite and positive, and a points
+    that is not an integer >= 2 raise DomainError naming the argument.
     """
-    if not (x_min < x_max and eta > 0 and points >= 2):
-        raise DomainError("recover requires x_min < x_max, eta > 0, points >= 2")
-    grid = np.linspace(x_min, x_max, points)
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+        raise DomainError(f"recover needs finite x_min < x_max, got "
+                          f"x_min={x_min!r}, x_max={x_max!r}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"recover needs a finite eta > 0, got eta={eta!r}")
+    if (not isinstance(points, (int, np.integer)) or isinstance(points, bool)
+            or points < 2):
+        raise DomainError(f"recover needs an integer points >= 2, got points={points!r}")
+    t = (2.0 * np.arange(points) - (points - 1)) / (points - 1)
+    grid = (0.5 * x_min + 0.5 * x_max) + (0.5 * x_max - 0.5 * x_min) * t
+    grid[0], grid[-1] = x_min, x_max
     g = np.asarray(g_eval(grid + 1j * eta), dtype=complex)
     density = -g.imag / math.pi
     if np.min(density) < _NEG_DENSITY_TOL:

@@ -331,7 +331,7 @@ def test_timestamp_present_unless_suppressed(tmp_path):
 GOLDEN = [
     ("857951c9f20c0edf6a1e397d20afb3346f52715e862f3c7d142e5c2b2bd82dc6",
      "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
-    ("473472037aa2ceddc3fb3e65574a684ffb6aa94124d4034daa43b204788cb3f8",
+    ("e8b7d29fe1324675a141d29ddecc77e3e02a1e69904aad022094dab783e712ed",
      "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
      "--points 101"),
     ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
@@ -342,14 +342,14 @@ GOLDEN = [
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
-    ("fd1bfdf1ca27263b207e10df4851480d7bf5cb7611a39047518d281d5fd8ac29",
+    ("98063695c9bc2013b1a0593cf3ea03564d33123eb7afc8c8fc33fd9c5f43ed2a",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("44d073e31ff07ba9dc3e7232a93ee07920ce1fc2bd008f6126e6b66071c741f6",
+    ("c7673d08abc28d73ee12181f51958fa5906494bcf23c192ac1e82592a7d25038",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
-    ("c8b65754dfe2a9f9d448dcf3b99be18b1390a8088c0356aa5b5b54df8836ee66",
+    ("25dc347ba41c09d8f2f5d299df4341888de6f50886f2c6ac34a5fbc216aeb306",
      "support --preset bernoulli --n 16 --points 201"),
-    ("150c5a8d7cdc2884b68d7baca43a8f5a2d3dbdafebea9660ccc632c40b85545d",
+    ("e384d84d81fc9674e0f80417469ae001ae93469b27a52cad5b0285aad2df4e09",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
     ("e6c746dccff75cc7d6faa94797fd05f78b7a41d52444878469bbfd88b15cab7d",

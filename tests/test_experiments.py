@@ -81,6 +81,76 @@ def test_recover_weighted_sum_mass_and_symmetry():
     assert np.max(np.abs(dist.density - dist.density[::-1])) < 1e-6
 
 
+def _spied_recovery(monkeypatch, measures, points, eta=1e-2):
+    """_recover_sum's law with the point count of every solve it made."""
+    sizes = []
+
+    def spy(ms, zs, opts):
+        sizes.append(np.size(zs))
+        return solve(ms, zs, opts)
+
+    monkeypatch.setattr(experiments, "solve", spy)
+    dist, _ = experiments._recover_sum(measures, eta, points,
+                                       experiments.DEFAULT_OPTIONS)
+    return dist, sizes
+
+
+def _full_grid_recovery(measures, points, eta=1e-2):
+    R = experiments._window_radius(measures)
+    return experiments.recover(lambda zs: solve(measures, zs).G, -R, R,
+                               points=points, eta=eta)
+
+
+_SYMMETRIC_SUMS = {
+    "bernoulli-random-theta": weighted_summands(Measure.bernoulli(), sample(8, 0)),
+    "semicircles": [Measure.semicircle(0.3), Measure.semicircle(0.7)],
+    "three-atoms": [Measure.atomic([-1.5, 0.0, 1.5], [0.25, 0.5, 0.25]),
+                    Measure.bernoulli().scale(0.5)],
+}
+
+
+@pytest.mark.parametrize("points", [401, 400])
+@pytest.mark.parametrize("name", list(_SYMMETRIC_SUMS))
+def test_symmetric_sum_solves_the_right_half(monkeypatch, name, points):
+    """A sum of symmetric laws solves ceil(m/2) points; its density is its
+    own exact mirror image and within 1e-12 of a full-grid solve."""
+    measures = _SYMMETRIC_SUMS[name]
+    dist, sizes = _spied_recovery(monkeypatch, measures, points)
+    assert sizes == [math.ceil(points / 2)]
+    assert np.array_equal(dist.density, dist.density[::-1])
+    full = _full_grid_recovery(measures, points)
+    assert np.array_equal(dist.grid, full.grid)
+    assert np.max(np.abs(dist.density - full.density)) <= 1e-12
+
+
+_ASYMMETRIC_SUMS = {
+    "binomial:0.25": [Measure.binomial(0.25).standardize()] * 4,
+    "unequal-weights": [Measure.atomic([-1.0, 1.0], [0.3, 0.7]),
+                        Measure.bernoulli()],
+}
+
+
+@pytest.mark.parametrize("points", [401, 400])
+@pytest.mark.parametrize("name", list(_ASYMMETRIC_SUMS))
+def test_asymmetric_sum_solves_every_point(monkeypatch, name, points):
+    """A summand that is not symmetric keeps the full-grid solve, byte for
+    byte."""
+    measures = _ASYMMETRIC_SUMS[name]
+    dist, sizes = _spied_recovery(monkeypatch, measures, points)
+    assert sizes == [points]
+    full = _full_grid_recovery(measures, points)
+    for field in ("grid", "density", "cdf"):
+        assert getattr(dist, field).tobytes() == getattr(full, field).tobytes()
+    assert dist.tail_mass == full.tail_mass
+
+
+def test_symmetric_support_is_symmetric():
+    """Bernoulli with random weights: the detected support is [-hi, hi]
+    exactly."""
+    lo, hi = support_experiment(Measure.bernoulli(), sample(16, 3)).detected_support
+    assert lo == -hi
+
+
 def test_detect_support_on_semicircle():
     from freeconv.complexfn import cauchy
     d_eta = 1e-4

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,48 @@ def test_recover_validates_arguments():
         recover(semicircle_g, 2, -2)
     with pytest.raises(DomainError):
         recover(semicircle_g, -2, 2, eta=0.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"points": 2.5}, "points"), ({"points": 5.0}, "points"),
+    ({"points": True}, "points"), ({"points": 1}, "points"),
+    ({"points": np.int64(1)}, "points"),
+    ({"eta": math.inf}, "eta"), ({"eta": math.nan}, "eta"), ({"eta": -1e-3}, "eta"),
+    ({"x_min": -math.inf}, "x_min"), ({"x_min": math.nan}, "x_min"),
+    ({"x_max": math.inf}, "x_max"), ({"x_min": 1.0}, "x_min"),
+], ids=["points-2.5", "points-5.0", "points-bool", "points-1", "points-int64-1",
+        "eta-inf", "eta-nan", "eta-negative", "x_min-inf", "x_min-nan",
+        "x_max-inf", "x_min-eq-x_max"])
+def test_recover_rejects_bad_arguments_up_front(kwargs, name):
+    """Each bad argument is a DomainError naming it, raised before g_eval
+    runs and without a numpy RuntimeWarning."""
+    args = {"x_min": -1.0, "x_max": 1.0, "points": 5, "eta": 1e-3} | kwargs
+
+    def never(zs):
+        raise AssertionError("g_eval called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=name):
+            recover(never, **args)
+
+
+def test_recover_accepts_numpy_integer_points():
+    d = recover(semicircle_g, -1, 1, points=np.int64(5), eta=1e-2)
+    assert d.grid.size == 5
+
+
+@pytest.mark.parametrize("points", [2, 3, 400, 4001])
+def test_recover_grid_is_exactly_mirrored(points):
+    """On [-R, R] the grid is its own mirror image bit for bit, with exact
+    ends, strictly increasing and within 4 eps R of np.linspace's."""
+    R = 3.1234
+    grid = recover(semicircle_g, -R, R, points=points, eta=1e-2).grid
+    assert np.array_equal(grid, -grid[::-1])
+    assert grid[0] == -R and grid[-1] == R
+    assert np.all(np.diff(grid) > 0.0)
+    ref = np.linspace(-R, R, points)
+    assert np.max(np.abs(grid - ref)) <= 4.0 * np.finfo(float).eps * R
 
 
 def test_recover_rejects_density_dip():
