@@ -90,6 +90,8 @@ def cmd_convolve(args) -> str:
     specs = args.preset or []
     if not specs:
         raise DomainError("convolve needs at least one --preset or measure file")
+    if args.points < 1:
+        raise DomainError("--points must be >= 1")
     measures = [_load_measure(s) for s in specs]
     opts = _solver_opts(args)
     window = args.window

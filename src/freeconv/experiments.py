@@ -130,9 +130,10 @@ def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
     A free sum of symmetric laws is symmetric, so G(-conj z) = -conj G(z).
     When every summand is symmetric (a semicircle always; an atomic law
     when x_j == -x_{k-1-j} and w_j == w_{k-1-j} exactly) and the points are
-    their own mirror image, as recover's grid on [-R, R] is, only the right
-    half is solved (the centre point of an odd count included) and the left
-    half is its exact reflection."""
+    their own mirror image, as recover's grid on [-R, R] is, only the left
+    half is solved (the centre point of an odd count included), a prefix of
+    the grid, so an IterationError names a grid index; the right half is its
+    exact reflection."""
     R = _window_radius(measures) if window is None else float(window)
     stats = {"max_iterations": 0}
     # a semicircle has no atoms, so the test passes for it
@@ -142,10 +143,10 @@ def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
     def g_eval(zs):
         mirrored = symmetric and np.array_equal(zs, -zs[::-1].conj())
         half = zs.size // 2 if mirrored else 0
-        sol = solve(measures, zs[half:], opts)
+        sol = solve(measures, zs[:zs.size - half], opts)
         stats["max_iterations"] = max(stats["max_iterations"],
                                       int(np.max(sol.iterations)))
-        return np.concatenate([-sol.G[::-1][:half].conj(), sol.G]) if half else sol.G
+        return np.concatenate([sol.G, -sol.G[:half][::-1].conj()])
 
     dist = recover(g_eval, -R, R, points=points, eta=eta)
     return dist, stats
@@ -330,8 +331,8 @@ def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
                        eta: float = 1e-4, points: int = DEFAULT_POINTS,
                        opts: SolveOptions = DEFAULT_OPTIONS) -> SupportReport:
     """Verify the superconvergence support enclosures for a weighted sum."""
-    if density_threshold <= 0.0:
-        raise DomainError("density_threshold must be positive")
+    if not 0.0 < density_threshold < math.inf:  # NaN fails too
+        raise DomainError("density_threshold must be finite and positive")
     mu = mu.standardize()
     th = as_weights(theta)
     L = mu.support_radius
@@ -406,27 +407,27 @@ def functional_residuals(mu: Measure, theta, z_grid,
     measures = weighted_summands(mu, th)
     zs = np.atleast_1d(np.asarray(z_grid, dtype=complex))
     sol = solve(measures, zs, opts)
-    Fs = np.stack([1.0 / cauchy(m, Z) for m, Z in zip(measures, sol.Z)])
+    Fs = np.reshape([1.0 / cauchy(m, Z) for m, Z in zip(measures[1:], sol.Z[1:])],
+                    (len(measures) - 1, zs.size))  # F_1 enters no term
     m3 = mu.moment(3)
-    t2 = th * th
-    t3 = t2 * th
+    I3 = complex(th[0] * th[0])  # I3 = M3 and I5 do not depend on z
+    t2 = th[1:] * th[1:]
+    t3 = t2 * th[1:]
+    I5 = complex(-m3 * np.sum(t3))
     out = []
     for z, Z, F in zip(zs, sol.Z.T, Fs.T):
-        z1 = Z[0]
-        j1 = np.sum(F[1:] - Z[1:] + t2[1:] / Z[1:] + t3[1:] * m3 / Z[1:] ** 2)
-        j2 = np.sum(t2[1:] / z1 - t2[1:] / Z[1:])
-        j4 = m3 * np.sum(t3[1:] / z1**2 - t3[1:] / Z[1:] ** 2)
+        z1, Zr = Z[0], Z[1:]
+        j1 = np.sum(F - Zr + t2 / Zr + t3 * m3 / Zr ** 2)
+        j2 = np.sum(t2 / z1 - t2 / Zr)
+        j4 = m3 * np.sum(t3 / z1**2 - t3 / Zr ** 2)
         I1 = z1**2 * j1
         I2 = z1**2 * j2
-        I3 = complex(t2[0])
         I4 = z1**2 * j4
-        I5 = complex(-m3 * np.sum(t3[1:]))
         r = I1 + I2 + I4 + I5
 
-        M1 = z1 * np.sum(F[1:] - Z[1:] + t2[1:] / Z[1:])
-        M2 = z1 * np.sum(t2[1:] / z1 - t2[1:] / Z[1:])
-        M3 = complex(t2[0])
-        q = M1 + M2 + M3
+        M1 = z1 * np.sum(F - Zr + t2 / Zr)
+        M2 = z1 * j2
+        q = M1 + M2 + I3
 
         res_p = abs(z1**3 - z * z1**2 + (1.0 - I3) * z1 - r)
         res_q = abs(z1**2 - z * z1 + 1.0 - q)
@@ -461,7 +462,7 @@ def functional_residuals(mu: Measure, theta, z_grid,
         out.append(FunctionalEqTerms(
             z=complex(z), Z=tuple(map(complex, Z)),
             I1=complex(I1), I2=complex(I2), I3=I3, I4=complex(I4), I5=I5,
-            r=complex(r), M1=complex(M1), M2=complex(M2), M3=M3, q=complex(q),
+            r=complex(r), M1=complex(M1), M2=complex(M2), M3=I3, q=complex(q),
             r2=complex(r2),
             roots_p=(omega1, omega2, omega3), roots_q=(wt1, wt2),
             residual_p=float(res_p), residual_q=float(res_q),

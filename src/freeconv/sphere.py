@@ -10,16 +10,16 @@ what order.
 Seeds and indices must lie in [-2**63, 2**64); they key the stream modulo
 2**64, so negative values wrap as numpy's Philox(key=[s, k]) wraps them.
 
-``sample`` with a 1-D integer index array draws all rows in one batch, byte
-for byte equal to the scalar path.  One Philox is rekeyed to (s, k) for each
-row, through a state dict of plain ints, and a Generator on it writes the
-row's 2m doubles in [0, 1), m = max(n, 8), straight into a buffer, where
-they become the first m u's and m v's the scalar loop's
-Generator.uniform(-1, 1) draws.  The polar rejection and the normalisation
-then run over a block of rows at once, with no sort: each row's first n
-values are gathered by the rank of its accepted pairs.  A row falls back to
-the scalar path when its first round yields fewer than n values or when its
-norm is 0.
+Every draw is a batch, and a scalar index is the one-row batch.  One
+Philox is rekeyed to (s, k) for each row, through a state dict of plain
+ints, and a Generator on it writes the row's 2m doubles in [0, 1),
+m = max(n, 8), into a buffer, where they become the first m u's and m v's
+Generator.uniform(-1, 1) would draw.  The polar rejection and the
+normalisation run over a block of rows at once, with no sort: each row's
+first n values are gathered by the rank of its accepted pairs.  A row whose
+first round yields fewer than n values, or whose norm is 0, is redrawn in
+the block generator by the polar loop from its stream's start, and on along
+the stream while the norm is 0.
 
 One block generator serves a whole draw, with one Philox, one state dict
 and one set of buffers: ``sample`` has it write straight into the returned
@@ -149,8 +149,8 @@ def _block_rows(n: int, count: int) -> int:
 
 
 def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
-    """Yield (lo, rows), block after block: rows[i] is
-    sample(n, seed, idx[lo + i]).theta.
+    """Yield (lo, rows), block after block: rows[i] is the point of S^{n-1}
+    drawn on the stream keyed by (seed, idx[lo + i]).
 
     One Philox, its state dict and one set of buffers serve the whole draw,
     so no block allocates.  The rows are out[lo:lo + len(rows)] when out is
@@ -158,7 +158,7 @@ def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
     and the caller may use as scratch.
     """
     m = max(n, 8)
-    bitgen = np.random.Philox()
+    bitgen = np.random.Philox(0)  # a fixed seed draws no OS entropy; each row rekeys it
     rng = np.random.Generator(bitgen)
     key = [_key(seed), 0]
     # the start of the stream Philox(key=key): zero counter, empty buffer;
@@ -171,20 +171,23 @@ def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
     p = np.empty((size, n), dtype=np.intp)
     buf = np.empty((size, n)) if out is None else None
     for lo in range(0, idx.size, size):
-        ks = idx[lo:lo + size]
-        k = ks.size
-        for row, index in zip(uv_rows, ks.astype(np.int64).view(np.uint64).tolist()):
+        ks = idx[lo:lo + size].astype(np.int64).view(np.uint64).tolist()
+        k = len(ks)
+        for row, index in zip(uv_rows, ks):
             key[1] = index
             bitgen.state = state
             rng.random(out=row)
         block = buf[:k] if out is None else out[lo:lo + k]
         short = _first_round(uv[:k], block, w[:k], p[:k])
-        sq = np.vecdot(block, block)  # the same bytes as np.linalg.norm's dot
-        redo = short | (sq == 0.0)
-        sq[redo] = 1.0
+        sq = np.vecdot(block, block)  # the same bytes as each row's own dot
+        for r in np.flatnonzero(short | (sq == 0.0)).tolist():
+            key[1] = ks[r]
+            bitgen.state = state
+            sq[r] = 0.0
+            while sq[r] == 0.0:  # probability ~0
+                block[r] = _polar_gaussians(rng, n)
+                sq[r] = np.vecdot(block[r], block[r])
         block /= np.sqrt(sq, out=sq)[:, None]
-        for r in np.flatnonzero(redo):
-            block[r] = sample(n, seed, int(ks[r])).theta
         if not np.all(np.abs(np.vecdot(block, block) - 1.0) <= 1e-12):
             raise DomainError("weight vector must lie on the unit sphere")
         yield lo, block
@@ -215,14 +218,7 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
         index = np.asarray(index)
         raise DomainError("an index must be a scalar or a 1-D integer array, "
                           f"not an array of shape {index.shape} and dtype {index.dtype}")
-    key = np.array([_key(seed), _key(index)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    g = _polar_gaussians(rng, n)
-    norm = float(np.linalg.norm(g))
-    while norm == 0.0:  # probability ~0; retry on the same stream
-        g = _polar_gaussians(rng, n)
-        norm = float(np.linalg.norm(g))
-    return WeightVector(g / norm)
+    return WeightVector(sample(n, seed, np.array([_key(index)], dtype=np.uint64))[0])
 
 
 def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:

@@ -342,7 +342,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
                 iterations[t])
 
     workers = min(_WORKERS, len(tiles))
-    if workers == 1:
+    if workers <= 1:  # one tile, or none for an empty grid
         for t in tiles:
             run(t)
     else:  # each tile in a copy of the caller's context (numpy's errstate)

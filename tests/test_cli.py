@@ -204,6 +204,26 @@ def test_residuals_grid_points_below_one_is_config_error(points, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "-4"])
+@pytest.mark.parametrize("density", [[], ["--density"]], ids=["g", "density"])
+def test_convolve_points_below_one_is_config_error(points, density, capsys):
+    argv = ["convolve", "--preset", "bernoulli", "--points", points,
+            *density, "--output", "-"]
+    with pytest.raises(DomainError, match="--points must be >= 1"):
+        cli.cmd_convolve(cli.build_parser().parse_args(argv))
+    assert run(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-5"])
+def test_support_threshold_not_finite_and_positive_is_config_error(threshold,
+                                                                    capsys):
+    code = run(["support", "--preset", "bernoulli", "--n", "16", "--points",
+                "201", f"--threshold={threshold}", "--output", "-"])
+    assert code == 1
+    assert "density_threshold must be finite and positive" in capsys.readouterr().err
+
+
 def test_output_to_unwritable_path_is_io_error(tmp_path):
     code = run(["sphere", "--n", "8", "--count", "1", "--seed", "0",
                 "--output", str(tmp_path / "missing_dir" / "x.csv")])
@@ -331,7 +351,7 @@ def test_timestamp_present_unless_suppressed(tmp_path):
 GOLDEN = [
     ("857951c9f20c0edf6a1e397d20afb3346f52715e862f3c7d142e5c2b2bd82dc6",
      "convolve --preset semicircle:0.5 --preset semicircle:0.5 --points 21"),
-    ("e8b7d29fe1324675a141d29ddecc77e3e02a1e69904aad022094dab783e712ed",
+    ("6d6a30bf4cc5c216c1d4d9c2b469d1fa300ce769185eb6e135ef7431c9d77660",
      "convolve --preset bernoulli --preset bernoulli --density --eta 1e-3 "
      "--points 101"),
     ("ced3f063d0f3deb30778989a9cc8bb29ee386db90c63a94587e9ef12a6719d98",
@@ -342,9 +362,9 @@ GOLDEN = [
      "distance --a arcsine --b semicircle --metric delta_eps --eps 0.25"),
     ("78647687a6e05c41f0e145cce2b6034e519f52c8af199354d4158cdb08d5bf43",
      "distance --a mu.json --b semicircle"),
-    ("98063695c9bc2013b1a0593cf3ea03564d33123eb7afc8c8fc33fd9c5f43ed2a",
+    ("5f6489f59141ac1b2b86edad2687fa844b904055b9eab897fbe4914b82041d84",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("c7673d08abc28d73ee12181f51958fa5906494bcf23c192ac1e82592a7d25038",
+    ("940c0b3b21f0a924bcae03a23345986cbd4e7d15c0bc6f95bbe36ccecb17e535",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("25dc347ba41c09d8f2f5d299df4341888de6f50886f2c6ac34a5fbc216aeb306",

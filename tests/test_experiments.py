@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from freeconv.complexfn import cauchy
 from freeconv import experiments
-from freeconv.errors import BranchCutError, DomainError
+from freeconv.errors import BranchCutError, DomainError, IterationError
 from freeconv.experiments import (cubic_roots, detect_support,
                                   fit_loglog_slope, functional_residuals,
                                   nonid_experiment, rate_experiment,
@@ -14,7 +15,7 @@ from freeconv.experiments import (cubic_roots, detect_support,
 from freeconv.inversion import GriddedDistribution, delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
-from freeconv.subordination import solve, weighted_summands
+from freeconv.subordination import SolveOptions, solve, weighted_summands
 
 
 def test_cubic_roots_reconstruct_polynomial():
@@ -123,6 +124,20 @@ def test_symmetric_sum_solves_the_right_half(monkeypatch, name, points):
     assert np.max(np.abs(dist.density - full.density)) <= 1e-12
 
 
+@pytest.mark.parametrize("measures", [[Measure.bernoulli()] * 4,
+                                      [Measure.binomial(0.25).standardize()] * 4],
+                         ids=["symmetric", "asymmetric"])
+def test_unconverged_recovery_names_the_grid_index(measures):
+    """The solved points are a prefix of the recovery grid, so the index an
+    IterationError names is the grid's own, mirrored sum or not."""
+    eta, points = 1e-3, 11
+    with pytest.raises(IterationError) as exc:
+        experiments._recover_sum(measures, eta, points, SolveOptions(max_iters=1))
+    z, index = re.search(r"at z=(\S+) \(index (\d+)\)", str(exc.value)).groups()
+    grid = _full_grid_recovery(measures, points, eta).grid
+    assert complex(z) == grid[int(index)] + 1j * eta
+
+
 _ASYMMETRIC_SUMS = {
     "binomial:0.25": [Measure.binomial(0.25).standardize()] * 4,
     "unequal-weights": [Measure.atomic([-1.0, 1.0], [0.3, 0.7]),
@@ -169,7 +184,7 @@ def test_detect_support_needs_a_density_core():
         detect_support(flat, threshold=1e-5)
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1e-5])
+@pytest.mark.parametrize("threshold", [0.0, -1e-5, math.nan, math.inf])
 def test_support_experiment_rejects_nonpositive_threshold(threshold):
     with pytest.raises(DomainError, match="density_threshold"):
         support_experiment(Measure.bernoulli(), WeightVector.uniform(4),

@@ -47,8 +47,8 @@ def test_sample_matrix_rows_match_indexed_samples():
 
 
 def _stream_loop_row(n, seed, k):
-    """Reference: row k drawn on its own from Philox(key=[seed, k]) by the
-    scalar polar loop, as sample() with a scalar index does."""
+    """Reference: row k drawn on its own from Philox(key=[seed, k]) by a
+    plain polar loop, whose bytes every row of sample() must have."""
     rng = np.random.Generator(np.random.Philox(key=[int(seed), int(k)]))
     while True:
         out = np.empty(0)
@@ -68,7 +68,7 @@ def _stream_loop_row(n, seed, k):
 
 
 # The extra indices are rows whose first round of 8 pairs gives fewer than n
-# values, so they take the scalar fallback; an index array of them alone
+# values, so they are redrawn by the polar loop; an index array of them alone
 # leaves the batch no value to gather at n = 1, 2 (row 5529 of seed 1
 # accepts no pair).
 # Each count crosses a block of the batched sampler except at n = 1, 2, 3.
@@ -85,8 +85,21 @@ def test_sample_matrix_matches_stream_loop_bytes(n, count, seed, extra):
                                           for k in extra]).tobytes()
 
 
+def _zero_row(r):
+    """A _first_round that zeroes row r of its output."""
+    first_round = sphere._first_round
+
+    def zero_row(uv, out, *scratch):
+        short = first_round(uv, out, *scratch)
+        out[r] = 0.0
+        return short
+
+    return zero_row
+
+
 def test_zero_draw_is_redrawn_on_the_same_stream(monkeypatch):
-    """A first draw of norm 0 is replaced by the stream's next draw."""
+    """A row of norm 0 is drawn again from its stream's start, and a redraw
+    of norm 0 is replaced by the stream's next draw."""
     n, seed, k = 6, 3, 2
     polar, first = sphere._polar_gaussians, []
 
@@ -97,6 +110,7 @@ def test_zero_draw_is_redrawn_on_the_same_stream(monkeypatch):
             return np.zeros(count)
         return g
 
+    monkeypatch.setattr(sphere, "_first_round", _zero_row(0))
     monkeypatch.setattr(sphere, "_polar_gaussians", zero_first)
     got = sample(n, seed, k).theta
     rng = np.random.Generator(np.random.Philox(key=[seed, k]))
@@ -105,26 +119,12 @@ def test_zero_draw_is_redrawn_on_the_same_stream(monkeypatch):
     assert got.tobytes() == (g / np.linalg.norm(g)).tobytes()
 
 
-def test_zero_row_in_a_batch_takes_the_scalar_path(monkeypatch):
-    """A batched row of norm 0 is redrawn by the scalar sampler."""
-    first_round = sphere._first_round
-
-    def zero_row_one(uv, out, *scratch):
-        short = first_round(uv, out, *scratch)
-        out[1] = 0.0
-        return short
-
-    calls = []
-
-    def scalar_sample(*args):
-        calls.append(args)
-        return sample(*args)
-
-    monkeypatch.setattr(sphere, "_first_round", zero_row_one)
-    monkeypatch.setattr(sphere, "sample", scalar_sample)
+def test_zero_row_in_a_batch_is_redrawn_on_its_stream(monkeypatch):
+    """A batched row of norm 0 is drawn again from its own stream; the
+    other rows keep their bytes."""
+    monkeypatch.setattr(sphere, "_first_round", _zero_row(1))
     M = sample(6, 3, np.arange(3))
-    assert calls == [(6, 3, 1)]
-    assert M.tobytes() == np.stack([sample(6, 3, k).theta for k in range(3)]).tobytes()
+    assert M.tobytes() == np.stack([_stream_loop_row(6, 3, k) for k in range(3)]).tobytes()
 
 
 @pytest.mark.parametrize("seed,idx", [

@@ -302,6 +302,17 @@ def test_empty_measure_list_rejected():
         solve_grid([], [1j])
 
 
+@pytest.mark.parametrize("entry", [solve_grid, solve])
+@pytest.mark.parametrize("ms", [[Measure.bernoulli()] * 2,
+                                [Measure.bernoulli(), Measure.semicircle(1.0)]],
+                         ids=["identical", "distinct"])
+def test_empty_grid_gives_empty_solution(entry, ms):
+    """No points make no tiles, and no thread pool is started for them."""
+    sol = entry(ms, np.array([], complex))
+    assert sol.Z.shape == (2, 0)
+    assert all(a.shape == (0,) for a in sol[1:])
+
+
 def test_iteration_failure_carries_residual():
     ms = [Measure.bernoulli()] * 16
     with pytest.raises(IterationError) as exc:
