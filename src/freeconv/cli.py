@@ -60,9 +60,15 @@ def _atomic_write(path: str, text: str) -> None:
 def _artifact(args, result: str | dict) -> str:
     """A command's result with its configuration (every parsed option that
     was given or has a default, and the command) and, unless suppressed,
-    a timestamp: '#' lines ahead of a CSV body, or keys of a JSON payload."""
+    a timestamp: '#' lines ahead of a CSV body, or keys of a JSON payload.
+    The JSON is strict: a non-finite option raises DomainError naming it.
+    The command has run by now, so its own check of an option speaks
+    first."""
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("output", "no_timestamp", "func") and v is not None}
+    for k, v in cfg.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"--{k.replace('_', '-')} must be finite, got {v}")
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     if isinstance(result, str):
         head = f"# config: {json.dumps(cfg, sort_keys=True)}\n"
@@ -72,7 +78,7 @@ def _artifact(args, result: str | dict) -> str:
     doc = {"config": cfg, **result}
     if stamp:
         doc["timestamp"] = stamp
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _solver_opts(args) -> SolveOptions:
@@ -145,7 +151,7 @@ def cmd_rates(args) -> str:
 
 def cmd_support(args) -> dict:
     mu = _load_measure(args.preset)
-    theta = _weights_for(args.n, args.weights, args.seed, 0)
+    theta = _weights_for(args.n, args.weights, args.seed)[0]
     rep = support_experiment(mu, theta, density_threshold=args.threshold,
                              eta=args.eta, points=args.points,
                              opts=_solver_opts(args))
@@ -156,7 +162,7 @@ def cmd_residuals(args) -> str:
     if args.grid_points < 1:
         raise DomainError("--grid-points must be >= 1")
     mu = _load_measure(args.preset)
-    theta = _weights_for(args.n, args.weights, args.seed, 0)
+    theta = _weights_for(args.n, args.weights, args.seed)[0]
     side = max(2, int(round(math.sqrt(args.grid_points))))
     re = np.linspace(-args.re_max, args.re_max, side)
     im = np.linspace(args.im_min, args.im_max, side)

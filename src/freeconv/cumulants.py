@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, OutOfDiscError
+from .errors import DomainError, OutOfDiscError, is_integer
 from .measures import Measure
 from .sphere import as_weights
 
@@ -66,7 +66,13 @@ def cumulants_to_moments(seq) -> list[float]:
 
 
 def measure_cumulants(mu: Measure, order: int) -> tuple[float, ...]:
-    """Free cumulants kappa_1..kappa_N of a measure, from its exact moments."""
+    """Free cumulants kappa_1..kappa_N of a measure, from its exact moments.
+
+    An order that is not an integer >= 1 raises DomainError, here and so in
+    kargin_bound_check and phi_theta, which take their cumulants from here.
+    """
+    if not (is_integer(order) and order >= 1):
+        raise DomainError(f"order must be an integer >= 1, got order={order!r}")
     moments = [mu.moment(k) for k in range(1, order + 1)]
     return moments_to_cumulants(moments)
 

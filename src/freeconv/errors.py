@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer test of
+its input checks."""
+
+from numbers import Integral
 
 
 class FreeconvError(Exception):
@@ -32,3 +35,8 @@ class InversionError(FreeconvError, RuntimeError):
 
 class OutOfDiscError(DomainError):
     """Series evaluation requested outside its disc of convergence."""
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool or a float."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

@@ -23,8 +23,8 @@ from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         recover)
 from .measures import Measure
 from .sphere import WeightVector, as_weights, sample, vector_stats
-from .subordination import (DEFAULT_OPTIONS, SolveOptions, solve,
-                            weighted_summands)
+from .subordination import (DEFAULT_OPTIONS, SolveOptions, _by_identity,
+                            solve, weighted_summands)
 
 _TILDE_A, _TILDE_EPS = 0.05, 0.2  # rate_experiment's delta_tilde: a and eps
 
@@ -105,11 +105,14 @@ class RateReport:
     slopes: dict = field(default_factory=dict)
 
 
-def _weights_for(n: int, weight_mode: str, seed: int, rep: int) -> WeightVector:
+def _weights_for(n: int, weight_mode: str, seed: int, reps: int = 1):
+    """The weights of repetitions 0..reps-1: the uniform vector each time,
+    or the rows of one batched sphere draw, row k the bytes of sample(n,
+    seed, index=k)."""
     if weight_mode == "uniform":
-        return WeightVector.uniform(n)
+        return [WeightVector.uniform(n)] * reps
     if weight_mode == "random":
-        return sample(n, seed, index=rep)
+        return sample(n, seed, np.arange(reps))
     raise DomainError(f"unknown weight mode {weight_mode!r}")
 
 
@@ -117,8 +120,10 @@ def _window_radius(measures) -> float:
     """Half-width of the recovery window for a standardized free sum, from
     the summands' support radii r_i: min(sum r_i, 2 + min(5 sum r_i^3, 1.5))
     + 1.  sum r_i bounds the support outright; 2 + 5 sum r_i^3 is Kargin's
-    enclosure (support_experiment's bound_kargin), capped at 3.5."""
-    r = np.array([m.support_radius for m in measures])
+    enclosure (support_experiment's bound_kargin), capped at 3.5.  Each
+    distinct object's radius is read once and spread over its slots."""
+    objects, slots = _by_identity(measures)
+    r = np.take([m.support_radius for m in objects], slots)
     return min(float(np.sum(r)), 2.0 + min(5.0 * float(np.sum(r**3)), 1.5)) + 1.0
 
 
@@ -138,7 +143,7 @@ def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
     stats = {"max_iterations": 0}
     # a semicircle has no atoms, so the test passes for it
     symmetric = all(m.atoms == tuple((-x, w) for x, w in reversed(m.atoms))
-                    for m in set(measures))
+                    for m in _by_identity(measures)[0])
 
     def g_eval(zs):
         mirrored = symmetric and np.array_equal(zs, -zs[::-1].conj())
@@ -191,8 +196,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
     mu = mu.standardize()
     rows = []
     for n in ns:
-        for rep in range(reps):
-            theta = _weights_for(n, weight_mode, seed, rep)
+        for rep, theta in enumerate(_weights_for(n, weight_mode, seed, reps)):
             dist, stats = recover_weighted_sum(mu, theta, eta=eta,
                                                points=points, opts=opts)
             ref = _semicircle_smoothed(dist)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, is_integer
 from .measures import Measure
 
 DEFAULT_ETA = 1e-3
@@ -115,8 +115,7 @@ def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,
                           f"x_min={x_min!r}, x_max={x_max!r}")
     if not (math.isfinite(eta) and eta > 0.0):
         raise DomainError(f"recover needs a finite eta > 0, got eta={eta!r}")
-    if (not isinstance(points, (int, np.integer)) or isinstance(points, bool)
-            or points < 2):
+    if not (is_integer(points) and points >= 2):
         raise DomainError(f"recover needs an integer points >= 2, got points={points!r}")
     t = (2.0 * np.arange(points) - (points - 1)) / (points - 1)
     grid = (0.5 * x_min + 0.5 * x_max) + (0.5 * x_max - 0.5 * x_min) * t
@@ -241,7 +240,7 @@ def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
         raise DomainError("a must be in (0, 1)")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must be in (0, 1)")
-    if not isinstance(u_points, (int, np.integer)) or u_points < 1:
+    if not (is_integer(u_points) and u_points >= 1):
         raise DomainError(f"u_points must be an integer >= 1, got {u_points!r}")
     rules = []
     for k in (13, 14):  # Gauss-Legendre in v = a^((1-x)/2): dv = v ln(1/a)/2 dx

@@ -23,25 +23,29 @@ not on the step size, once it is below the tolerance or below the rounding
 level of the sums it is made of, 8 eps (|z| + |sum_i Z_i| + (n-1)|w|),
 whichever is larger: at large |z| or for hundreds of coordinates that
 level exceeds any fixed absolute tolerance.  A point's outputs are
-written once, when it leaves the Newton loop.  What depends on the
-measures alone (the dedupe, the start's mean and variance terms, the
-stacked atoms, poles and residues) is built once per tuple of measures
-and cached.
+written once, when it leaves the Newton loop.  The summands are first
+deduplicated by object identity, in C and with no Measure hashed, and
+what depends on the measures alone (the value dedupe, the start's mean
+and variance terms, the stacked atoms, poles and residues) is built once
+per distinct objects and slots and cached.
 A grid is solved in independent column tiles, run concurrently where
 BLAS leaves cores free (see solve_grid).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .complexfn import _semicircle_g
-from .errors import DomainError, IterationError
+from .errors import DomainError, IterationError, is_integer
 from .measures import Measure
 from .sphere import as_weights
 
@@ -52,8 +56,11 @@ class SolveOptions:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.max_iters > 0):
-            raise DomainError("invalid solver options")
+        if not 0.0 < self.tol < math.inf:  # NaN fails too
+            raise DomainError(f"tol must be finite and positive, got tol={self.tol!r}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
+            raise DomainError("max_iters must be an integer >= 1, "
+                              f"got max_iters={self.max_iters!r}")
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -259,22 +266,44 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
         Zw = Zn
 
 
+def _by_identity(measures):
+    """The distinct objects among measures, in first-occurrence order, and
+    each measure's slot among them: O(n) work in C, and no Measure hashed
+    or compared (ids are unique among live objects, and measures holds
+    them all).  One object (uniform weights) is found by an identity scan
+    that builds no dict, and its slots are n zeros; the slots of n distinct
+    objects are range(n), O(1) to hash and compare."""
+    n = len(measures)
+    if n and all(map(operator.is_, measures, repeat(measures[0]))):
+        return (measures[0],), (0,) * n
+    objects = dict(zip(map(id, measures), measures))
+    if len(objects) == n:
+        return tuple(measures), range(n)
+    slot = dict(zip(objects, range(len(objects))))
+    return tuple(objects.values()), tuple(map(slot.__getitem__, map(id, measures)))
+
+
 @lru_cache(maxsize=32)
-def _setup(measures):
-    """A solve's setup without init, built once per tuple of measures: each
-    measure's coordinate (None if none collapsed), complex multiplicities
-    (as matmul casts them), the (F, 1/F') evaluator with its atomic
-    coordinates' poles and residues, and the free-CLT start's terms (m,
-    v summed over the multiplicities; Im _semicircle_g <= 0 exactly, so Im
-    Z_i >= Im z needs no clamp; v = 0 needs no branch: v - v_i = 0)."""
-    index = {}  # first-occurrence order; Measure is frozen, so hashable
-    expand = [index.setdefault(mu, len(index)) for mu in measures]
+def _setup(objects, slots):
+    """A solve's setup without init, built once per _by_identity result
+    (measures[i] is objects[slots[i]]).  The key holds the objects, not
+    their ids, which are reused once an object is freed; equal but
+    distinct objects make an equal key.  Returns each measure's
+    coordinate, in first-occurrence order of the values (None if none
+    collapsed), complex multiplicities (as matmul casts them), the
+    (F, 1/F') evaluator with its atomic coordinates' poles and residues,
+    and the free-CLT start's terms (m, v summed over the multiplicities;
+    Im _semicircle_g <= 0 exactly, so Im Z_i >= Im z needs no clamp; v = 0
+    needs no branch: v - v_i = 0)."""
+    index = {}  # the value dedupe: Measure is frozen, so hashable
+    coord = [index.setdefault(mu, len(index)) for mu in objects]
+    expand = np.take(coord, slots)
     coords, counts = list(index), np.bincount(expand)
     mi = np.array([mu.mean for mu in coords])
     # moment(2) - mean^2 can round below 0 for atoms far from the origin
     vi = np.array([max(mu.var, 0.0) for mu in coords])
     mean, var = np.dot(counts, mi), np.dot(counts, vi)
-    return (expand if len(coords) < len(measures) else None,
+    return (expand if len(coords) < len(slots) else None,
             counts.astype(complex), _make_evaluator(coords),
             ((vi - var)[:, None], mean, var, (mean - mi)[:, None]))
 
@@ -289,7 +318,11 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     (n, m), or (n,) for one point, finite, with Im Z_i >= Im z.  Without
     it, duplicate measures share a coordinate: the fixed point is symmetric
     in identical coordinates and identical measures get identical starts,
-    so the collapsed system has the same solution.  Z is read-only on
+    so the collapsed system has the same solution.  The summands are
+    deduplicated by object identity first (O(n) work in C), then the
+    distinct objects by value, in _setup's cache, so n summands that are
+    one object, or a few, cost O(distinct) Measure hashes; equal but
+    distinct objects still share a coordinate.  Z is read-only on
     every path; when all summands are one measure it is a broadcast of one
     row (stride 0, no n x m copy); a partial collapse gathers the rows.
 
@@ -316,7 +349,8 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     m = zs.shape[0]
 
     if init is None:
-        expand, c, evaluate, (scale, mean, var, shift) = _setup(measures)
+        expand, c, evaluate, (scale, mean, var, shift) = _setup(
+            *_by_identity(measures))
         Z = np.multiply(scale, _semicircle_g(zs - mean, var))  # free-CLT start
         Z += zs
         Z -= shift

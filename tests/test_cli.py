@@ -320,6 +320,38 @@ def test_seed_outside_key_range_is_config_error(cmd, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+def test_tol_not_finite_and_positive_is_config_error(tmp_path, capsys, tol):
+    """--tol inf would let the free-CLT start pass as converged."""
+    out = tmp_path / "never.csv"
+    code = run(["convolve", "--preset", "bernoulli", "--preset", "bernoulli",
+                f"--tol={tol}", "--output", str(out)])
+    assert code == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["distance", "--a", "arcsine", "--b", "semicircle", "--eps", "nan"],
+     "--eps must be finite, got nan"),
+    (["rates", "--preset", "bernoulli", "--n", "4,8,16", "--points", "201",
+      "--eps", "inf"], "--eps must be finite, got inf"),
+    (["convolve", "--preset", "bernoulli", "--points", "4", "--eta=-inf"],
+     "--eta must be finite, got -inf"),
+    # a command's own check of an option runs first
+    (["distance", "--a", "arcsine", "--b", "semicircle", "--metric", "delta_eps",
+      "--eps", "nan"], "eps must be in (0, 1)"),
+], ids=["distance-unused-eps", "rates-eps", "convolve-unused-eta",
+        "distance-delta-eps"])
+def test_non_finite_option_is_config_error(tmp_path, capsys, argv, message):
+    """Artifacts are strict JSON, so an option that is not finite is an
+    input error naming the option, even where the command ignores it."""
+    out = tmp_path / "never.txt"
+    assert run(argv + ["--output", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window", ["inf", "nan", "1e308", "-1", "0"])
 def test_bad_window_is_config_error(tmp_path, capsys, window):
     out = tmp_path / "never.csv"

@@ -156,3 +156,20 @@ def test_phi_theta_power_sums_are_bit_identical_to_per_m_sums(n, seed):
             acc += k * s * zp
             zp *= complex(z)
         assert phi_theta(mu, th, z) == acc
+
+
+@pytest.mark.parametrize("order", [0, -3, 2.5, 4.0, True, "8"])
+@pytest.mark.parametrize("call", [
+    lambda order: measure_cumulants(Measure.bernoulli(), order),
+    lambda order: kargin_bound_check(Measure.bernoulli(), order),
+    lambda order: phi_theta(Measure.bernoulli(), WeightVector.uniform(4), 0.1,
+                            order=order),
+], ids=["measure_cumulants", "kargin_bound_check", "phi_theta"])
+def test_order_must_be_an_integer_at_least_one(call, order):
+    with pytest.raises(DomainError, match="order must be an integer >= 1"):
+        call(order)
+
+
+def test_order_takes_a_numpy_integer():
+    mu = Measure.bernoulli()
+    assert measure_cumulants(mu, np.int64(6)) == measure_cumulants(mu, 6)

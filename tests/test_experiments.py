@@ -15,7 +15,8 @@ from freeconv.experiments import (cubic_roots, detect_support,
 from freeconv.inversion import GriddedDistribution, delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
-from freeconv.subordination import SolveOptions, solve, weighted_summands
+from freeconv.subordination import (SolveOptions, _setup, solve, solve_grid,
+                                    weighted_summands)
 
 
 def test_cubic_roots_reconstruct_polynomial():
@@ -311,6 +312,29 @@ def test_rate_experiment_rejects_tilde_u_points_below_one(u_points):
                         points=201, tilde_u_points=u_points)
 
 
+def test_rate_experiment_draws_each_n_in_one_batch(monkeypatch):
+    """All reps of one n come from one batched sphere draw, and rep k's
+    weights are the bytes of the scalar draw sample(n, seed, index=k)."""
+    draws, thetas = [], []
+
+    def spy_sample(n, seed, index):
+        draws.append((n, seed, np.asarray(index).tolist()))
+        return sample(n, seed, index)
+
+    def spy_recover(mu, theta, **kw):
+        thetas.append(theta)
+        return recover_weighted_sum(mu, theta, **kw)
+
+    monkeypatch.setattr(experiments, "sample", spy_sample)
+    monkeypatch.setattr(experiments, "recover_weighted_sum", spy_recover)
+    rate_experiment(Measure.bernoulli(), [4, 8], weight_mode="random",
+                    metrics=("delta",), reps=3, seed=5, points=201)
+    assert draws == [(4, 5, [0, 1, 2]), (8, 5, [0, 1, 2])]
+    for i, theta in enumerate(thetas):
+        n, rep = (4, 8)[i // 3], i % 3
+        assert np.asarray(theta).tobytes() == sample(n, 5, index=rep).theta.tobytes()
+
+
 def test_rate_experiment_validates_schedule():
     with pytest.raises(DomainError):
         rate_experiment(Measure.bernoulli(), [8, 4])
@@ -361,3 +385,45 @@ def test_nonid_experiment_rejects_empty_input(measures):
     """No summands means B_n = 0: named as a domain error, not a division."""
     with pytest.raises(DomainError, match="at least one measure"):
         nonid_experiment(measures)
+
+
+def _count_measure_hashes_and_compares(monkeypatch):
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(Measure, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(Measure, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda mu, th: solve_grid(weighted_summands(mu, th),
+                              np.linspace(-2.5, 2.5, 101) + 1e-2j),
+    lambda mu, th: recover_weighted_sum(mu, th, points=401),
+    lambda mu, th: support_experiment(mu, th, points=401),
+], ids=["solve_grid", "recover_weighted_sum", "support_experiment"])
+def test_identical_summands_hash_no_measure_per_summand(monkeypatch, run):
+    """1024 summands that are one object: a cold and a warm call hash and
+    compare a handful of Measures, not one or more per summand."""
+    mu, theta = Measure.bernoulli(), WeightVector.uniform(1024)
+    _setup.cache_clear()
+    calls = _count_measure_hashes_and_compares(monkeypatch)
+    run(mu, theta)
+    run(mu, theta)
+    assert calls["__hash__"] <= 4 and calls["__eq__"] <= 4, calls
+
+
+def test_window_radius_reads_each_distinct_measure_once(monkeypatch):
+    """One support_radius read per distinct object, and the bytes of the
+    rule applied to every summand's own radius."""
+    a, b = Measure.bernoulli().scale(0.3), Measure.binomial(0.2).scale(0.1)
+    ms = [a, b, a, Measure.from_json(a.to_json()), b] * 7
+    r = np.array([m.support_radius for m in ms])
+    want = min(float(np.sum(r)), 2.0 + min(5.0 * float(np.sum(r**3)), 1.5)) + 1.0
+    reads = []
+    radius = Measure.support_radius
+    monkeypatch.setattr(Measure, "support_radius",
+                        property(lambda m: reads.append(m) or radius.fget(m)))
+    assert experiments._window_radius(ms) == want
+    assert len(reads) == 3

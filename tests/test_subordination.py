@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import signal
 import sys
@@ -347,10 +348,17 @@ def test_weighted_sum_g_uses_signed_weights():
 
 
 def test_solve_options_validation():
-    with pytest.raises(DomainError):
-        SolveOptions(tol=-1.0)
-    with pytest.raises(DomainError):
-        SolveOptions(max_iters=0)
+    """tol must be finite and positive and max_iters an integer >= 1."""
+    for kw in ({"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
+               {"tol": math.nan}, {"max_iters": 0}, {"max_iters": 2.5},
+               {"max_iters": 3.0}, {"max_iters": True}):
+        with pytest.raises(DomainError, match=next(iter(kw))):
+            SolveOptions(**kw)
+
+
+def test_solve_options_take_numpy_integers():
+    opts = SolveOptions(tol=np.float64(1e-9), max_iters=np.int64(50))
+    assert solve([Measure.bernoulli()] * 2, 0.5j, opts).iterations <= 50
 
 
 def test_newton_converges_at_support_edges():
@@ -669,6 +677,37 @@ def test_setup_cache_leaves_init_calls_alone():
     for _ in range(2):
         assert _digest(solve_grid(ms, zs, init=init)) == alone[1]
         assert _digest(solve_grid(ms, zs)) == alone[0]
+
+
+@pytest.mark.parametrize("shared, digest", [
+    ([Measure.bernoulli().scale(1 / 8)] * 64,
+     "6a93cd7eaeda9ce29cf1e4ca0c19c0fb919c5f02ce8c769034746bd66c68b86a"),
+    ([Measure.bernoulli().scale(0.6), Measure.semicircle(0.16)] * 2,
+     "78380f9d362c9752a2c1a984bf9470c05cfa28bdbc6b2b4028d8381022057a58"),
+], ids=["one-measure", "two-measures"])
+def test_equal_but_distinct_summands_share_a_coordinate(shared, digest):
+    """Summands that are equal but distinct objects pass the identity
+    dedupe as distinct and are merged by value in the setup: the same
+    coordinates, in the same first-occurrence order, and the bytes of the
+    list that shares one object per law."""
+    fresh = [Measure.from_json(mu.to_json()) for mu in shared]
+    assert len(set(map(id, fresh))) == len(fresh)
+    zs = np.linspace(-3, 3, 201) + 1e-3j
+    for ms in (shared, fresh, shared[:1] + fresh[1:]):
+        _setup.cache_clear()
+        sol = solve_grid(ms, zs)
+        assert _digest(sol) == digest
+    assert (sol.Z.strides[0] == 0) == (len(set(shared)) == 1)
+
+
+def test_setup_cache_holds_its_objects_not_their_ids():
+    """Lists freed between calls may leave their ids to the next one's
+    objects; each call still gets the setup of its own laws."""
+    zs = np.linspace(-2, 2, 5) + 0.1j
+    for c in (0.3, 0.5, 0.3, 0.7):
+        got = _digest(solve_grid([Measure.bernoulli().scale(c)] * 4, zs))
+        _setup.cache_clear()
+        assert got == _digest(solve_grid([Measure.bernoulli().scale(c)] * 4, zs))
 
 
 def test_setup_cache_is_bounded():
