@@ -23,7 +23,7 @@ from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         recover)
 from .measures import Measure
 from .sphere import WeightVector, as_weights, sample, vector_stats
-from .subordination import (DEFAULT_OPTIONS, SolveOptions, _by_identity,
+from .subordination import (DEFAULT_OPTIONS, SolveOptions, by_identity,
                             solve, weighted_summands)
 
 _TILDE_A, _TILDE_EPS = 0.05, 0.2  # rate_experiment's delta_tilde: a and eps
@@ -116,13 +116,13 @@ def _weights_for(n: int, weight_mode: str, seed: int, reps: int = 1):
     raise DomainError(f"unknown weight mode {weight_mode!r}")
 
 
-def _window_radius(measures) -> float:
+def _window_radius(objects, slots) -> float:
     """Half-width of the recovery window for a standardized free sum, from
     the summands' support radii r_i: min(sum r_i, 2 + min(5 sum r_i^3, 1.5))
     + 1.  sum r_i bounds the support outright; 2 + 5 sum r_i^3 is Kargin's
-    enclosure (support_experiment's bound_kargin), capped at 3.5.  Each
-    distinct object's radius is read once and spread over its slots."""
-    objects, slots = _by_identity(measures)
+    enclosure (support_experiment's bound_kargin), capped at 3.5.  The
+    summands come as subordination.by_identity gives them: each distinct
+    object's radius is read once and spread over its slots."""
     r = np.take([m.support_radius for m in objects], slots)
     return min(float(np.sum(r)), 2.0 + min(5.0 * float(np.sum(r**3)), 1.5)) + 1.0
 
@@ -130,7 +130,8 @@ def _window_radius(measures) -> float:
 def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
                  window: float | None = None):
     """The eta-smoothed law of the free sum of the measures on [-R, R],
-    R = window or _window_radius, plus solver stats.
+    R = window or _window_radius, plus solver stats.  The summands are
+    deduplicated by identity once, for the window and the symmetry test.
 
     A free sum of symmetric laws is symmetric, so G(-conj z) = -conj G(z).
     When every summand is symmetric (a semicircle always; an atomic law
@@ -139,11 +140,12 @@ def _recover_sum(measures, eta: float, points: int, opts: SolveOptions,
     half is solved (the centre point of an odd count included), a prefix of
     the grid, so an IterationError names a grid index; the right half is its
     exact reflection."""
-    R = _window_radius(measures) if window is None else float(window)
+    objects, slots = by_identity(measures)
+    R = _window_radius(objects, slots) if window is None else float(window)
     stats = {"max_iterations": 0}
     # a semicircle has no atoms, so the test passes for it
     symmetric = all(m.atoms == tuple((-x, w) for x, w in reversed(m.atoms))
-                    for m in _by_identity(measures)[0])
+                    for m in objects)
 
     def g_eval(zs):
         mirrored = symmetric and np.array_equal(zs, -zs[::-1].conj())

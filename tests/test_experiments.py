@@ -15,8 +15,8 @@ from freeconv.experiments import (cubic_roots, detect_support,
 from freeconv.inversion import GriddedDistribution, delta_tilde
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, sample
-from freeconv.subordination import (SolveOptions, _setup, solve, solve_grid,
-                                    weighted_summands)
+from freeconv.subordination import (SolveOptions, _setup, by_identity, solve,
+                                    solve_grid, weighted_summands)
 
 
 def test_cubic_roots_reconstruct_polynomial():
@@ -98,7 +98,7 @@ def _spied_recovery(monkeypatch, measures, points, eta=1e-2):
 
 
 def _full_grid_recovery(measures, points, eta=1e-2):
-    R = experiments._window_radius(measures)
+    R = experiments._window_radius(*by_identity(measures))
     return experiments.recover(lambda zs: solve(measures, zs).G, -R, R,
                                points=points, eta=eta)
 
@@ -425,5 +425,5 @@ def test_window_radius_reads_each_distinct_measure_once(monkeypatch):
     radius = Measure.support_radius
     monkeypatch.setattr(Measure, "support_radius",
                         property(lambda m: reads.append(m) or radius.fget(m)))
-    assert experiments._window_radius(ms) == want
+    assert experiments._window_radius(*by_identity(ms)) == want
     assert len(reads) == 3
