@@ -30,10 +30,27 @@ and variance terms, the stacked atoms, poles and residues) is built once
 per distinct objects and slots and cached.
 A grid is solved in independent column tiles, run concurrently where
 BLAS leaves cores free (see solve_grid).
+
+The one algorithm runs in two arithmetics.  A grid runs it on numpy
+arrays (_newton).  One point of a system of at most _POINT_ATOMS = 32
+coordinate-atoms (an atomic law counts its atoms, a semicircle 1) runs it
+in Python complex arithmetic (_newton_point): there a pass of _newton is
+some 70 numpy calls on one-element arrays, whose dispatch costs far more
+than the arithmetic.  Both take the same start, kernels, step, sweep, Im
+clamp and stop test, in the same order of operations.  They differ only
+in rounding (numpy's complex product may fuse a multiply-add, and its
+quotient scales by a reciprocal), so a stop test that lands within
+rounding of its tolerance can end one a step before the other.  The bound
+sits below the crossover, measured on one-point solves of distinct
+Bernoulli summands on a 2-core VM: Python took 142 against numpy's 191
+us per solve at 32 coordinate-atoms, 195 against 207 at 48 and 237
+against 197 at 64.  Per pass the two meet near 48, so solves of many
+steps cross earlier than that.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import os
@@ -56,7 +73,7 @@ class SolveOptions:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:  # NaN fails too
+        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:  # NaN fails too
             raise DomainError(f"tol must be finite and positive, got tol={self.tol!r}")
         if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise DomainError("max_iters must be an integer >= 1, "
@@ -64,8 +81,12 @@ class SolveOptions:
 
 
 DEFAULT_OPTIONS = SolveOptions()
-_ROUNDING = 8.0 * np.finfo(float).eps  # residual floor per unit of its sums
+_ROUNDING = 8.0 * math.ulp(1.0)  # residual floor per unit of its sums
 _TILE = 1 << 15  # coordinate-points per tile: a complex block of 512 KiB
+# coordinate-atoms (an atomic law counts its atoms, a semicircle 1) up to
+# which a one-point solve runs in Python complex arithmetic (_newton_point)
+_POINT_ATOMS = 32
+_NAN = complex(math.nan, math.nan)
 
 
 def _tile_workers():
@@ -157,6 +178,10 @@ def _make_evaluator(measures):
     semicircle coordinate is one _semicircle_g block against a column of
     its variances, F = 1/G and 1/F' = 2 - Z G (from F^2 - Z F + variance
     = 0).  The returned arrays are the caller's to overwrite.
+
+    Also returns the same kernels at one point in Python complex
+    arithmetic, one per coordinate (_atomic_point, _semicircle_point), or
+    None above _POINT_ATOMS coordinate-atoms.
     """
     is_atomic = np.array([mu.kind == "atomic" for mu in measures])
     # row indexers, slices (views, not copies) where the rows are contiguous
@@ -215,7 +240,53 @@ def _make_evaluator(measures):
         inv[semi] = 2.0 - Zs * Gs
         return F, inv
 
-    return evaluate
+    if k.sum() + len(V) > _POINT_ATOMS:
+        return evaluate, None
+    cols = zip(X.T.tolist(), P.T.tolist(), R.T.tolist(),
+               inv_w[:, 0].real.tolist(), k.tolist())
+    edges = iter((2.0 * np.sqrt(V.ravel())).tolist())
+    return evaluate, tuple(_atomic_point(*next(cols)) if mu.kind == "atomic"
+                           else _semicircle_point(next(edges))
+                           for mu in measures)
+
+
+def _quot(a, b):
+    """a / b, or NaN for b = 0, where numpy gives inf or NaN (a step that
+    meets it takes the sweep) and Python raises ZeroDivisionError."""
+    return a / b if b else _NAN
+
+
+def _atomic_point(x, p, r, inv_w, k):
+    """atomic_part's (F, 1/F') at one point for one law, operation for
+    operation: its k atoms x, poles p, residues r (padded lists) and 1/W."""
+    last, terms = x[-1], tuple(zip(x[:k - 1], p[:k - 1], r[:k - 1]))
+
+    def kernel(Z):
+        F = (Z - last) * inv_w
+        S = 0j
+        for xj, pj, rj in terms:
+            q = 1.0 / (Z - pj)
+            F *= (Z - xj) * q
+            S += q * q * rj
+        S += inv_w
+        return F, _quot(1.0, S)
+
+    return kernel
+
+
+def _semicircle_g_point(Z, e):
+    """_semicircle_g at one point, e = 2 sqrt(variance), in principal
+    roots."""
+    return _quot(2.0, Z + cmath.sqrt(Z - e) * cmath.sqrt(Z + e))
+
+
+def _semicircle_point(e):
+    """evaluate's semicircle (F, 1/F') at one point."""
+    def kernel(Z):
+        G = _semicircle_g_point(Z, e)
+        return _quot(1.0, G), 2.0 - Z * G
+
+    return kernel
 
 
 def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
@@ -226,44 +297,76 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     complement; the new Z is built in the 1/F' block."""
     idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
 
-    for step in range(opts.max_iters + 1):
-        F, inv = evaluate(Zw)
-        w = c @ F / n
-        s = c @ Zw
-        sz = s - zw
-        rw = np.maximum(np.abs(F - F[0]).max(axis=0),
-                        np.abs(sz - (n - 1) * F[0]))
-        tw = np.maximum(opts.tol, _ROUNDING * (np.abs(zw) + np.abs(s)
-                                                + (n - 1) * np.abs(w)))
-        live = (rw > tw) & (step < opts.max_iters)
-        if not live.all():
-            out, done = idx[~live], ~live
-            Z[:, out], F0[out], res[out], tol[out], iterations[out] = (
-                Zw[:, done], F[0, done], rw[done], tw[done], step)
-            if out.size == idx.size:  # every point retired
-                return
-            idx, zw, Zw = idx[live], zw[live], Zw[:, live]
-            w, sz = w[live], sz[live]
-            F = F[:, live]  # one block at a time, so the old one goes first
-            inv = inv[:, live]
-        r = sz - (n - 1) * w
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # non-finite values are data here: a step that makes one takes the
+    # sweep (1/F' is not finite where F' = 0, as for the Bernoulli law at
+    # Z = i), and a residual that is one leaves its point unconverged
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(opts.max_iters + 1):
+            F, inv = evaluate(Zw)
+            w = c @ F / n
+            s = c @ Zw
+            sz = s - zw
+            rw = np.maximum(np.abs(F - F[0]).max(axis=0),
+                            np.abs(sz - (n - 1) * F[0]))
+            tw = np.maximum(opts.tol, _ROUNDING * (np.abs(zw) + np.abs(s)
+                                                    + (n - 1) * np.abs(w)))
+            live = (rw > tw) & (step < opts.max_iters)
+            if not live.all():
+                out, done = idx[~live], ~live
+                Z[:, out], F0[out], res[out], tol[out], iterations[out] = (
+                    Zw[:, done], F[0, done], rw[done], tw[done], step)
+                if out.size == idx.size:  # every point retired
+                    return
+                idx, zw, Zw = idx[live], zw[live], Zw[:, live]
+                w, sz = w[live], sz[live]
+                F = F[:, live]  # one block at a time, so the old one goes first
+                inv = inv[:, live]
+            r = sz - (n - 1) * w
             e = F - w
             e *= inv  # e_i/F_i'
             dw = (c @ e - r) / (c @ inv - (n - 1))  # Schur complement
             Zn = np.multiply(dw, inv, out=inv)  # Z_i + (dw - e_i)/F_i'
             Zn -= e
             Zn += Zw
-        ok = (np.isfinite(Zn) & (Zn.imag >= zw.imag)).all(axis=0)
-        if not ok.all():
-            bad = ~ok
-            delta = F[:, bad] - Zw[:, bad]  # Im(F_j(v) - v) >= 0
-            sweep = zw[bad] + c @ delta - delta
-            # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
-            sweep.imag = np.maximum(sweep.imag, zw[bad].imag)
-            Zn[:, bad] = sweep
-        del F, inv, e  # free the block before the next evaluation
-        Zw = Zn
+            ok = (np.isfinite(Zn) & (Zn.imag >= zw.imag)).all(axis=0)
+            if not ok.all():
+                bad = ~ok
+                delta = F[:, bad] - Zw[:, bad]  # Im(F_j(v) - v) >= 0
+                sweep = zw[bad] + c @ delta - delta
+                # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
+                sweep.imag = np.maximum(sweep.imag, zw[bad].imag)
+                Zn[:, bad] = sweep
+            del F, inv, e  # free the block before the next evaluation
+            Zw = Zn
+
+
+def _newton_point(kernels, c, n, z, opts, Z):
+    """_newton at one point in Python complex arithmetic, on lists of the
+    coordinates' Z and multiplicities c (complex), with the kernels of
+    _make_evaluator: the same residual, rounding floor, Schur-complement
+    step, sweep and Im clamp, in _newton's order of operations.  Returns the
+    point's Z, F_1, residual, tolerance and steps."""
+    mul = operator.mul
+    for step in range(opts.max_iters + 1):
+        F, inv = zip(*[f(x) for f, x in zip(kernels, Z)])
+        F0 = F[0]
+        w = sum(map(mul, c, F)) / n
+        s = sum(map(mul, c, Z))
+        sz = s - z
+        rw = max(max([abs(f - F0) for f in F]), abs(sz - (n - 1) * F0))
+        tw = max(opts.tol, _ROUNDING * (abs(z) + abs(s) + (n - 1) * abs(w)))
+        if not rw > tw or step == opts.max_iters:
+            return Z, F0, rw, tw, step
+        r = sz - (n - 1) * w
+        e = [(f - w) * d for f, d in zip(F, inv)]
+        dw = _quot(sum(map(mul, c, e)) - r, sum(map(mul, c, inv)) - (n - 1))
+        Zn = [dw * d - ei + x for d, ei, x in zip(inv, e, Z)]
+        if not all(cmath.isfinite(x) and x.imag >= z.imag for x in Zn):
+            delta = [f - x for f, x in zip(F, Z)]
+            total = z + sum(map(mul, c, delta))
+            Zn = [complex(t.real, max(t.imag, z.imag))
+                  for t in (total - d for d in delta)]
+        Z = Zn
 
 
 def by_identity(measures):
@@ -289,7 +392,8 @@ def _setup(objects, slots):
     coordinate, in first-occurrence order of the values (None if none
     collapsed), complex multiplicities (as matmul casts them), the
     (F, 1/F') evaluator with its atomic coordinates' poles and residues,
-    and the free-CLT start's terms (m, v summed over the multiplicities;
+    the one-point kernels built from the same poles and residues (None
+    above _POINT_ATOMS coordinate-atoms), and the free-CLT start's terms (m, v summed over the multiplicities;
     Im _semicircle_g <= 0 exactly, so Im Z_i >= Im z needs no clamp; v = 0
     needs no branch: v - v_i = 0)."""
     index = {}  # the value dedupe: Measure is frozen, so hashable
@@ -299,9 +403,9 @@ def _setup(objects, slots):
     mi = np.array([mu.mean for mu in coords])
     # moment(2) - mean^2 can round below 0 for atoms far from the origin
     vi = np.array([max(mu.var, 0.0) for mu in coords])
-    mean, var = np.dot(counts, mi), np.dot(counts, vi)
+    mean, var = float(np.dot(counts, mi)), float(np.dot(counts, vi))
     return (expand if len(coords) < len(slots) else None,
-            counts.astype(complex), _make_evaluator(coords),
+            counts.astype(complex), *_make_evaluator(coords),
             ((vi - var)[:, None], mean, var, (mean - mi)[:, None]))
 
 
@@ -322,6 +426,11 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     distinct objects still share a coordinate.  Z is read-only on
     every path; when all summands are one measure it is a broadcast of one
     row (stride 0, no n x m copy); a partial collapse gathers the rows.
+
+    One point (m = 1) of a system of at most _POINT_ATOMS coordinate-atoms
+    (the collapsed coordinates, or the n measures with init) is solved by
+    _newton_point in Python complex arithmetic, with _setup's kernels; it
+    returns the same GridSolution.  Any other call runs _newton.
 
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block): the Newton
@@ -346,13 +455,11 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     m = zs.shape[0]
 
     if init is None:
-        expand, c, evaluate, (scale, mean, var, shift) = _setup(
+        expand, c, evaluate, kernels, (scale, mean, var, shift) = _setup(
             *by_identity(measures))
-        Z = np.multiply(scale, _semicircle_g(zs - mean, var))  # free-CLT start
-        Z += zs
-        Z -= shift
     else:
-        expand, c, evaluate = None, np.ones(n, complex), _make_evaluator(measures)
+        expand, c = None, np.ones(n, complex)
+        evaluate, kernels = _make_evaluator(measures)
         Z = np.array(init, dtype=complex)
         if Z.shape == (n,) and m == 1:
             Z = Z.reshape(n, 1)
@@ -365,23 +472,39 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     res = np.empty(m)
     tol = np.empty(m)
     iterations = np.zeros(m, dtype=int)
-    width = max(1, _TILE // c.size)
-    tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
+    if m == 1 and kernels is not None:  # one point of a small system
+        z = complex(zs[0])
+        if init is None:  # free-CLT start
+            g = _semicircle_g_point(z - mean, 2.0 * math.sqrt(var))
+            Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
+                                               shift[:, 0].tolist())]
+        else:
+            Z = Z[:, 0].tolist()
+        Z, F0[0], res[0], tol[0], iterations[0] = _newton_point(
+            kernels, c.tolist(), n, z, opts, Z)
+        Z = np.array(Z).reshape(-1, 1)
+    else:
+        if init is None:  # free-CLT start
+            Z = np.multiply(scale, _semicircle_g(zs - mean, var))
+            Z += zs
+            Z -= shift
+        width = max(1, _TILE // c.size)
+        tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
 
-    def run(t):
-        _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t], tol[t],
-                iterations[t])
+        def run(t):
+            _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t],
+                    tol[t], iterations[t])
 
-    workers = min(_WORKERS, len(tiles))
-    if workers <= 1:  # one tile, or none for an empty grid
-        for t in tiles:
-            run(t)
-    else:  # each tile in a copy of the caller's context (numpy's errstate)
-        from concurrent.futures import ThreadPoolExecutor
-        from contextvars import copy_context
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(lambda ctx, t: ctx.run(run, t),
-                          [copy_context() for _ in tiles], tiles))
+        workers = min(_WORKERS, len(tiles))
+        if workers <= 1:  # one tile, or none for an empty grid
+            for t in tiles:
+                run(t)
+        else:  # each tile in a copy of the caller's context (numpy's errstate)
+            from concurrent.futures import ThreadPoolExecutor
+            from contextvars import copy_context
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(lambda ctx, t: ctx.run(run, t),
+                              [copy_context() for _ in tiles], tiles))
     if expand is not None:  # one coordinate: a view of its row, no n x m copy
         Z = np.broadcast_to(Z, (n, m)) if c.size == 1 else Z[expand]
     Z.flags.writeable = False

@@ -13,6 +13,7 @@ from freeconv.errors import DomainError
 from freeconv.inversion import GriddedDistribution
 from freeconv.measures import Measure, semicircle_density
 from freeconv.sphere import concentration_report, sample_matrix, vector_stats
+from freeconv.subordination import solve_grid
 
 
 def run(args):
@@ -49,6 +50,27 @@ def test_convolve_density_emits_distribution(tmp_path):
     # arcsine on [-2, 2]: density at 0 is 1/(2 pi) after smoothing
     i0 = int(np.argmin(np.abs(xs)))
     assert dens[i0] == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-2)
+
+
+@pytest.mark.parametrize("presets, points", [
+    (["bernoulli"], 3), (["bernoulli", "semicircle:0.5"], 1),
+], ids=["zero-derivative", "one-point"])
+def test_convolve_rows_match_the_grid_solve(presets, points, tmp_path):
+    """Bernoulli on 3 points meets z = i, where F'(i) = 0; one point runs
+    the Python-arithmetic solve.  Under this suite's error::RuntimeWarning
+    filter both exit 0, and each row's G is the grid solver's."""
+    out = tmp_path / "g.csv"
+    args = ["convolve", "--points", str(points), "--output", str(out),
+            "--no-timestamp"]
+    assert run(args + [a for p in presets for a in ("--preset", p)]) == 0
+    rows = [list(map(float, l.split(","))) for l in
+            out.read_text().splitlines()[2:]]
+    zs = np.array([complex(r[0], r[1]) for r in rows])
+    G = np.array([complex(r[2], r[3]) for r in rows])
+    ms = [Measure.bernoulli()] + [Measure.semicircle(0.5)] * (len(presets) - 1)
+    ref = solve_grid(ms, np.repeat(zs, 2)).G[::2]
+    assert zs.size == points and np.all(zs.imag == 1.0)
+    assert np.max(np.abs(G - ref)) <= 1e-13
 
 
 def test_convolve_without_measures_is_config_error(capsys):

@@ -16,9 +16,10 @@ from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
 from freeconv.sphere import WeightVector, as_weights, sample
-from freeconv.subordination import (_TILE, SolveOptions, _make_evaluator,
-                                    _poles, _setup, solve, solve_grid,
-                                    weighted_summands)
+from freeconv.inversion import delta_tilde
+from freeconv.subordination import (_POINT_ATOMS, _TILE, SolveOptions,
+                                    _make_evaluator, _poles, _setup, solve,
+                                    solve_grid, weighted_summands)
 
 from oracles import (atomic_f_mp, atomic_g_zeros_mp, binomial_convolution_g,
                      semicircle_f_mp)
@@ -181,16 +182,22 @@ def test_poles_interlace_the_atoms_and_match_the_zeros_of_g():
 def _relative_errors(laws, points):
     """Per law, the relative errors of F and of 1/F' at its points, from
     one evaluator over all the laws (rows of differing atom counts, row i
-    at points[i]), against the 40-digit sum form."""
+    at points[i]), against the 40-digit sum form; where the law has at
+    most _POINT_ATOMS atoms, the larger of those and its one-point
+    kernel's errors."""
     m = max(map(len, points))
     Z = np.array([list(z) + [z[0]] * (m - len(z)) for z in points])
-    F, inv = _make_evaluator(laws)(Z)
+    F, inv = _make_evaluator(laws)[0](Z)
     assert np.all(np.isfinite(F) & np.isfinite(inv))
     errors = []
     for mu, row, f, d in zip(laws, points, F, inv):
         ref = np.array([atomic_f_mp(mu.atoms, z) for z in row]).T
-        errors.append((np.abs(f[:len(row)] / ref[0] - 1),
-                       np.abs(d[:len(row)] / ref[1] - 1)))
+        got = [np.array([f[:len(row)], d[:len(row)]])]
+        kernels = _make_evaluator([mu])[1]
+        if kernels is not None:
+            got.append(np.array([kernels[0](complex(z)) for z in row]).T)
+        err = np.max([np.abs(g / ref - 1) for g in got], axis=0)
+        errors.append((err[0], err[1]))
     return errors
 
 
@@ -216,9 +223,9 @@ def test_each_row_holds_the_bytes_of_its_law_alone():
     poles (where= masks), so the other rows of a block move no byte of
     it; a law of mass 1 still takes F = (Z - x_k) prod ..., no 1/W."""
     Z = np.array([[0.3 + 0.2j, -1.1 + 1e-3j, 4.0 + 2.0j]] * len(_KERNEL_LAWS))
-    F, inv = _make_evaluator(_KERNEL_LAWS)(Z)
+    F, inv = _make_evaluator(_KERNEL_LAWS)[0](Z)
     for i, mu in enumerate(_KERNEL_LAWS):
-        f, d = _make_evaluator([mu])(Z[i:i + 1])
+        f, d = _make_evaluator([mu])[0](Z[i:i + 1])
         assert np.array_equal(f[0], F[i]) and np.array_equal(d[0], inv[i])
 
 
@@ -233,15 +240,17 @@ def test_pole_zero_kernel_at_large_z_does_not_overflow():
 
 def test_semicircle_rows_match_the_closed_form():
     """A semicircle row's F = 1/G and 1/F' = 2 - Z G against 40 digits,
-    away from the edges +-2 sqrt(variance), where 2 - Z G cancels."""
+    away from the edges +-2 sqrt(variance), where 2 - Z G cancels; the
+    one-point kernels too."""
     zs = np.array([0.3 + 0.2j, -3.0 + 1e-3j, 5.0 + 5.0j, 1e8j])
     V = [0.5, 2.0]
-    F, inv = _make_evaluator([Measure.semicircle(v) for v in V])(
-        np.array([zs] * len(V)))
-    for v, f, d in zip(V, F, inv):
+    evaluate, kernels = _make_evaluator([Measure.semicircle(v) for v in V])
+    F, inv = evaluate(np.array([zs] * len(V)))
+    for v, f, d, kernel in zip(V, F, inv, kernels):
         ref = np.array([semicircle_f_mp(v, z) for z in zs]).T
-        assert np.max(np.abs(f / ref[0] - 1)) < 1e-13
-        assert np.max(np.abs(d / ref[1] - 1)) < 1e-13
+        point = np.array([kernel(complex(z)) for z in zs]).T
+        for got in (np.array([f, d]), point):
+            assert np.max(np.abs(got / ref - 1)) < 1e-13
 
 
 def test_one_grid_over_laws_of_every_kind_meets_its_tolerance():
@@ -351,7 +360,7 @@ def test_solve_options_validation():
     """tol must be finite and positive and max_iters an integer >= 1."""
     for kw in ({"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
                {"tol": math.nan}, {"max_iters": 0}, {"max_iters": 2.5},
-               {"max_iters": 3.0}, {"max_iters": True}):
+               {"max_iters": 3.0}, {"max_iters": True}, {"tol": True}):
         with pytest.raises(DomainError, match=next(iter(kw))):
             SolveOptions(**kw)
 
@@ -726,6 +735,99 @@ def test_scalar_solve_step_count_on_strip_nodes():
     iters = [solve(ms, u + 1j * v).iterations for u in us for v in vs]
     assert max(iters) <= 4
     assert sum(iters) == 228
+
+
+def _same_point(one, two):
+    """A one-point solve (column 0 of one) and the same point solved as
+    column 0 of a two-point grid (two), which runs the array loop: the
+    same flags and steps, and G within 1e-13 (relative where |G| > 1, as
+    near an atom at small Im z).  The paths round differently, so the
+    steps can differ where the stop test is decided by rounding: then by
+    one, and the earlier stop's residual lies within 10% of its tolerance
+    (about 1 in 1,500 random points)."""
+    assert one.converged[0] == two.converged[0]
+    steps = (one.iterations[0], two.iterations[0])
+    if steps[0] != steps[1]:
+        first = (one, two)[int(np.argmin(steps))]
+        assert abs(steps[0] - steps[1]) == 1
+        assert first.residual[0] > 0.9 * SolveOptions().tol
+    assert abs(one.G[0] - two.G[0]) <= 1e-13 * max(1.0, abs(two.G[0]))
+
+
+_law = st.one_of(
+    st.builds(lambda xs, ws: Measure.atomic(xs, [w / sum(ws[:len(xs)])
+                                                 for w in ws[:len(xs)]]),
+              st.lists(st.integers(-16, 16).map(lambda i: i / 8), min_size=1,
+                       max_size=4, unique=True),
+              st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)),
+    st.builds(Measure.semicircle, st.floats(1e-3, 2.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laws=st.lists(_law, min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       x=st.floats(-3.0, 3.0), e=st.floats(-6.0, 1.0))
+def test_one_point_matches_its_grid_column(laws, picks, x, e):
+    """Atomic laws of 1-4 atoms, semicircles and their sums, repeats
+    included (at most 16 coordinate-atoms, so one point takes the Python
+    path), at Im z from 1e-6 to 10."""
+    ms, z = [laws[i % len(laws)] for i in picks], complex(x, 10.0 ** e)
+    _same_point(solve_grid(ms, [z]), solve_grid(ms, [z, z]))
+
+
+def test_one_point_init_matches_its_grid_column():
+    """An init warm start, and an init Z_i = i of two Bernoulli summands,
+    where F'(i) = 0: the Newton step divides by zero, gives no exception
+    and no RuntimeWarning, and the sweep takes the step on both paths."""
+    warm = _mixed_pair() * 2
+    for ms, z, init in ((warm, 0.35 + 0.07j, solve(warm, 0.3 + 0.07j).Z),
+                        ([Measure.bernoulli()] * 2, 0.3 + 0.5j, np.full(2, 1j))):
+        _same_point(solve_grid(ms, [z], init=init),
+                    solve_grid(ms, [z, z], init=np.tile(init[:, None], 2)))
+
+
+@pytest.mark.parametrize("zs", [[1j], [1j, 2j]], ids=["one-point", "grid"])
+def test_zero_derivative_of_f_warns_on_neither_path(zs):
+    """F'(i) = 0 for the Bernoulli law: its 1/F' is not finite there, with
+    no RuntimeWarning (an error under this suite's filter), and G(i) =
+    -i/2 holds at step 0."""
+    sol = solve_grid([Measure.bernoulli()], zs)
+    assert sol.converged.all() and sol.iterations[0] == 0
+    assert abs(sol.G[0] + 0.5j) <= 1e-15
+
+
+def test_both_paths_raise_the_same_iteration_error():
+    """max_iters = 1 at a point that needs 4 steps: a scalar, a one-point
+    array and a two-point grid name the same z, index, residual and step
+    count."""
+    ms, z, opts = _mixed_pair(), 0.35 + 0.07j, SolveOptions(max_iters=1)
+    texts = []
+    for zs in (z, [z], [z, z]):
+        with pytest.raises(IterationError) as exc:
+            solve(ms, zs, opts)
+        assert exc.value.iterations == 1
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1] == texts[2]
+    assert "z=(0.35+0.07j) (index 0)" in texts[0]
+
+
+def test_one_point_of_a_small_system_skips_the_array_loop(monkeypatch):
+    """delta_tilde over the mixed pair never enters _newton; one point of
+    a system of _POINT_ATOMS coordinate-atoms does not either, and one of
+    two atoms more does."""
+    calls = []
+    newton = subordination._newton
+    monkeypatch.setattr(subordination, "_newton",
+                        lambda *a: calls.append(a[3].size) or newton(*a))
+    g = lambda z: solve(_mixed_pair(), z).G
+    delta_tilde(g, lambda z: cauchy(Measure.semicircle(1.0), z), 0.05, 0.2,
+                u_points=3)
+    assert calls == []
+    for k, entered in ((_POINT_ATOMS // 2, []), (_POINT_ATOMS // 2 + 1, [1])):
+        ms = _random_sum(k)  # k distinct two-atom laws
+        assert len(set(ms)) == k
+        solve(ms, 0.3 + 0.2j)
+        assert calls == entered
 
 
 def test_grid_memory_stays_near_output_size():
