@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexfn import cauchy, sqrt_cut
-from .errors import BranchCutError, DomainError
+from .errors import BranchCutError, DomainError, is_integer
 from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         csv_table, delta_eps, delta_tilde, kolmogorov, levy,
                         recover)
@@ -26,7 +26,8 @@ from .sphere import WeightVector, as_weights, sample, vector_stats
 from .subordination import (DEFAULT_OPTIONS, SolveOptions, by_identity,
                             solve, weighted_summands)
 
-_TILDE_A, _TILDE_EPS = 0.05, 0.2  # rate_experiment's delta_tilde: a and eps
+# rate_experiment's delta_tilde: a, eps and u points
+_TILDE_A, _TILDE_EPS, _TILDE_U_POINTS = 0.05, 0.2, 101
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                     metrics=("delta", "levy", "delta_eps"), reps: int = 1,
                     seed: int = 0, eps: float = 0.5, eta: float = DEFAULT_ETA,
                     points: int = DEFAULT_POINTS,
-                    opts: SolveOptions = DEFAULT_OPTIONS,
-                    tilde_u_points: int = 101) -> RateReport:
+                    opts: SolveOptions = DEFAULT_OPTIONS) -> RateReport:
     """Distances from the weighted free sum to the semicircle law per n.
 
     Both CDFs are smoothed at the same eta (the biases largely cancel);
@@ -188,13 +188,14 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
     slope fit.
     """
     ns = list(n_schedule)
-    if any(b <= a for a, b in zip(ns, ns[1:])) or any(n < 2 for n in ns):
-        raise DomainError("n_schedule must be increasing with every n >= 2")
+    if not (all(is_integer(n) and n >= 2 for n in ns)
+            and all(a < b for a, b in zip(ns, ns[1:]))):
+        raise DomainError(f"n_schedule must be increasing integers >= 2, got {ns!r}")
     unknown = set(metrics) - {"delta", "levy", "delta_eps", "delta_tilde"}
     if unknown:
         raise DomainError(f"unknown metrics {sorted(unknown)}")
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    if not (is_integer(reps) and reps >= 1):
+        raise DomainError(f"reps must be an integer >= 1, got reps={reps!r}")
     mu = mu.standardize()
     rows = []
     for n in ns:
@@ -213,7 +214,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
                 sc = Measure.semicircle(1.0)
                 dt = delta_tilde(lambda z: solve(summands, z, opts).G,
                                  lambda z: complex(cauchy(sc, z)), _TILDE_A,
-                                 _TILDE_EPS, u_points=tilde_u_points)
+                                 _TILDE_EPS, u_points=_TILDE_U_POINTS)
             rows.append(RateRow(n=n, rep=rep, seed=seed, weight_mode=weight_mode,
                                 delta=d, delta_err=err, delta_eps=de,
                                 delta_tilde=dt, levy=dl,

@@ -29,7 +29,13 @@ what depends on the measures alone (the value dedupe, the start's mean
 and variance terms, the stacked atoms, poles and residues) is built once
 per distinct objects and slots and cached.
 A grid is solved in independent column tiles, run concurrently where
-BLAS leaves cores free (see solve_grid).
+BLAS leaves cores free (see solve_grid).  One floating-point rule holds
+in every solve: inf and NaN are data, shown as the sweep or as an
+unconverged point, never as a warning or an exception (1/F' is not
+finite where F' = 0, as for the Bernoulli law at Z = i).  So solve_grid
+does its numpy work, after its input checks, under
+np.errstate(all="ignore"), and _newton sets it again for its tile: a
+worker thread starts from numpy's defaults.
 
 The one algorithm runs in two arithmetics.  A grid runs it on numpy
 arrays (_newton).  One point of a system of at most _POINT_ATOMS = 32
@@ -37,11 +43,12 @@ coordinate-atoms (an atomic law counts its atoms, a semicircle 1) runs it
 in Python complex arithmetic (_newton_point): there a pass of _newton is
 some 70 numpy calls on one-element arrays, whose dispatch costs far more
 than the arithmetic.  Both take the same start, kernels, step, sweep, Im
-clamp and stop test, in the same order of operations.  They differ only
-in rounding (numpy's complex product may fuse a multiply-add, and its
-quotient scales by a reciprocal), so a stop test that lands within
-rounding of its tolerance can end one a step before the other.  The bound
-sits below the crossover, measured on one-point solves of distinct
+clamp and stop test, in the same order of operations.  At the points
+the tests sample they differ only in rounding (numpy's complex product
+may fuse a multiply-add, and its quotient scales by a reciprocal), so a
+stop test that lands within rounding of its tolerance can end one a step
+before the other; ROADMAP item 13 names a point where they part.  The
+bound sits below the crossover, measured on one-point solves of distinct
 Bernoulli summands on a 2-core VM: Python took 142 against numpy's 191
 us per solve at 32 coordinate-atoms, 195 against 207 at 48 and 237
 against 197 at 64.  Per pass the two meet near 48, so solves of many
@@ -184,9 +191,7 @@ def _make_evaluator(measures):
     None above _POINT_ATOMS coordinate-atoms.
     """
     is_atomic = np.array([mu.kind == "atomic" for mu in measures])
-    # row indexers, slices (views, not copies) where the rows are contiguous
-    atomic, semi = (slice(i[0], i[-1] + 1) if i.size and i[-1] - i[0] < i.size
-                    else i for i in map(np.flatnonzero, (is_atomic, ~is_atomic)))
+    atomic, semi = np.flatnonzero(is_atomic), np.flatnonzero(~is_atomic)
     atoms = [mu.atoms for mu in measures if mu.kind == "atomic"]
     V = np.array([[mu.variance_param] for mu in measures if mu.kind != "atomic"])
     k = np.array([len(a) for a in atoms], dtype=int)
@@ -232,8 +237,7 @@ def _make_evaluator(measures):
             return atomic_part(Z)
         F = np.empty_like(Z)
         inv = np.empty_like(Z)
-        if atoms:
-            F[atomic], inv[atomic] = atomic_part(Z[atomic])
+        F[atomic], inv[atomic] = atomic_part(Z[atomic])
         Zs = Z[semi]
         Gs = _semicircle_g(Zs, V)
         F[semi] = 1.0 / Gs
@@ -275,16 +279,15 @@ def _atomic_point(x, p, r, inv_w, k):
 
 
 def _semicircle_g_point(Z, e):
-    """_semicircle_g at one point, e = 2 sqrt(variance), in principal
-    roots."""
-    return _quot(2.0, Z + cmath.sqrt(Z - e) * cmath.sqrt(Z + e))
+    """_semicircle_g at one point, e = 2 sqrt(variance)."""
+    return 2.0 / (Z + cmath.sqrt(Z - e) * cmath.sqrt(Z + e))
 
 
 def _semicircle_point(e):
     """evaluate's semicircle (F, 1/F') at one point."""
     def kernel(Z):
         G = _semicircle_g_point(Z, e)
-        return _quot(1.0, G), 2.0 - Z * G
+        return 1.0 / G, 2.0 - Z * G
 
     return kernel
 
@@ -297,10 +300,8 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     complement; the new Z is built in the 1/F' block."""
     idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
 
-    # non-finite values are data here: a step that makes one takes the
-    # sweep (1/F' is not finite where F' = 0, as for the Bernoulli law at
-    # Z = i), and a residual that is one leaves its point unconverged
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # the module docstring's rule: a worker thread starts from numpy's defaults
+    with np.errstate(all="ignore"):
         for step in range(opts.max_iters + 1):
             F, inv = evaluate(Zw)
             w = c @ F / n
@@ -437,8 +438,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     temporaries stay in cache, and memory beyond the returned Z is a few
     tiles, whatever the grid size.  The tiles of a multi-tile call run on
     up to _WORKERS threads, started for the call and joined before it
-    returns (so a fork finds none), each tile in a copy of the caller's
-    context (numpy's errstate); a tile's exception is raised here.  The
+    returns (so a fork finds none); a tile's exception is raised here.  The
     bytes do not depend on the number of threads, but they do depend on
     the BLAS thread count: a sum such as c @ F split across BLAS threads
     rounds differently.
@@ -454,61 +454,59 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
         raise DomainError("all evaluation points must be finite with Im z > 0")
     m = zs.shape[0]
 
-    if init is None:
-        expand, c, evaluate, kernels, (scale, mean, var, shift) = _setup(
-            *by_identity(measures))
-    else:
-        expand, c = None, np.ones(n, complex)
-        evaluate, kernels = _make_evaluator(measures)
+    if init is not None:
         Z = np.array(init, dtype=complex)
         if Z.shape == (n,) and m == 1:
             Z = Z.reshape(n, 1)
-        if Z.shape != (n, m) or not np.all(np.isfinite(Z)
-                                           & (Z.imag >= zs.imag)):
+        if Z.shape != (n, m) or not (np.isfinite(Z) & (Z.imag >= zs.imag)).all():
             raise DomainError(f"init must be finite, of shape ({n}, {m}), "
                               "with Im Z_i >= Im z")
 
-    F0 = np.empty(m, dtype=complex)
-    res = np.empty(m)
-    tol = np.empty(m)
-    iterations = np.zeros(m, dtype=int)
-    if m == 1 and kernels is not None:  # one point of a small system
-        z = complex(zs[0])
-        if init is None:  # free-CLT start
-            g = _semicircle_g_point(z - mean, 2.0 * math.sqrt(var))
-            Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
-                                               shift[:, 0].tolist())]
+    with np.errstate(all="ignore"):  # the module docstring's floating-point rule
+        if init is None:
+            expand, c, evaluate, kernels, (scale, mean, var, shift) = _setup(
+                *by_identity(measures))
         else:
-            Z = Z[:, 0].tolist()
-        Z, F0[0], res[0], tol[0], iterations[0] = _newton_point(
-            kernels, c.tolist(), n, z, opts, Z)
-        Z = np.array(Z).reshape(-1, 1)
-    else:
-        if init is None:  # free-CLT start
-            Z = np.multiply(scale, _semicircle_g(zs - mean, var))
-            Z += zs
-            Z -= shift
-        width = max(1, _TILE // c.size)
-        tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
+            expand, c = None, np.ones(n, complex)
+            evaluate, kernels = _make_evaluator(measures)
+        F0 = np.empty(m, dtype=complex)
+        res = np.empty(m)
+        tol = np.empty(m)
+        iterations = np.zeros(m, dtype=int)
+        if m == 1 and kernels is not None:  # one point of a small system
+            z = complex(zs[0])
+            if init is None:  # free-CLT start
+                g = _semicircle_g_point(z - mean, 2.0 * math.sqrt(var))
+                Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
+                                                   shift[:, 0].tolist())]
+            else:
+                Z = Z[:, 0].tolist()
+            Z, F0[0], res[0], tol[0], iterations[0] = _newton_point(
+                kernels, c.tolist(), n, z, opts, Z)
+            Z = np.array(Z).reshape(-1, 1)
+        else:
+            if init is None:  # free-CLT start
+                Z = np.multiply(scale, _semicircle_g(zs - mean, var))
+                Z += zs
+                Z -= shift
+            width = max(1, _TILE // c.size)
+            tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
 
-        def run(t):
-            _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t],
-                    tol[t], iterations[t])
+            def run(t):
+                _newton(evaluate, c, n, zs[t], opts, Z[:, t], F0[t], res[t],
+                        tol[t], iterations[t])
 
-        workers = min(_WORKERS, len(tiles))
-        if workers <= 1:  # one tile, or none for an empty grid
-            for t in tiles:
-                run(t)
-        else:  # each tile in a copy of the caller's context (numpy's errstate)
-            from concurrent.futures import ThreadPoolExecutor
-            from contextvars import copy_context
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(lambda ctx, t: ctx.run(run, t),
-                              [copy_context() for _ in tiles], tiles))
-    if expand is not None:  # one coordinate: a view of its row, no n x m copy
-        Z = np.broadcast_to(Z, (n, m)) if c.size == 1 else Z[expand]
-    Z.flags.writeable = False
-    return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
+            workers = min(_WORKERS, len(tiles))
+            if workers <= 1:  # one tile, or none for an empty grid
+                list(map(run, tiles))
+            else:
+                from concurrent.futures import ThreadPoolExecutor
+                with ThreadPoolExecutor(workers) as pool:
+                    list(pool.map(run, tiles))
+        if expand is not None:  # one coordinate: a view of its row, no n x m copy
+            Z = np.broadcast_to(Z, (n, m)) if c.size == 1 else Z[expand]
+        Z.flags.writeable = False
+        return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
 def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,

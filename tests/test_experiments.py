@@ -294,22 +294,14 @@ def test_rate_experiment_small_schedule():
 def test_rate_experiment_delta_tilde():
     mu = Measure.bernoulli()
     rep = rate_experiment(mu, [4, 8, 16], weight_mode="uniform",
-                          metrics=("delta_tilde",), points=1001,
-                          tilde_u_points=5)
+                          metrics=("delta_tilde",), points=1001)
     sc = Measure.semicircle(1.0)
     for r in rep.rows:
         ref = delta_tilde(
             lambda z: solve(weighted_summands(mu, WeightVector.uniform(r.n)), z).G,
-            lambda z: complex(cauchy(sc, z)), 0.05, 0.2, u_points=5)
+            lambda z: complex(cauchy(sc, z)), 0.05, 0.2, u_points=101)
         assert math.isfinite(r.delta_tilde)
         assert r.delta_tilde == ref
-
-
-@pytest.mark.parametrize("u_points", [0, -1])
-def test_rate_experiment_rejects_tilde_u_points_below_one(u_points):
-    with pytest.raises(DomainError, match="u_points"):
-        rate_experiment(Measure.bernoulli(), [4], metrics=("delta_tilde",),
-                        points=201, tilde_u_points=u_points)
 
 
 def test_rate_experiment_draws_each_n_in_one_batch(monkeypatch):
@@ -342,6 +334,20 @@ def test_rate_experiment_validates_schedule():
         rate_experiment(Measure.bernoulli(), [1, 2])
     with pytest.raises(DomainError):
         rate_experiment(Measure.bernoulli(), [4, 8], weight_mode="magic")
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "random"])
+@pytest.mark.parametrize("kw, name", [
+    ({"reps": 2.5}, "reps=2.5"), ({"reps": True}, "reps=True"),
+    ({"n_schedule": [4.5, 8, 16]}, "4.5"), ({"n_schedule": [True, 8]}, "True"),
+], ids=["reps-float", "reps-bool", "n-float", "n-bool"])
+def test_rate_experiment_rejects_non_integer_reps_and_n(kw, name, weight_mode):
+    """A reps or an n that is not an integer, a bool included, is an input
+    error that names it, before any weights are drawn."""
+    kw = {"n_schedule": [4, 8], **kw}
+    with pytest.raises(DomainError, match=re.escape(name)):
+        rate_experiment(Measure.bernoulli(), weight_mode=weight_mode,
+                        points=201, **kw)
 
 
 def test_nonid_experiment_states_ratio():

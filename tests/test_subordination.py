@@ -623,16 +623,51 @@ def test_tile_exception_propagates(monkeypatch):
     assert threading.get_ident() not in threads
 
 
-def test_tiles_see_the_callers_errstate(monkeypatch):
-    """Worker threads start from numpy's default errstate; each tile runs
-    in a copy of the caller's context, so it sees the caller's."""
-    seen = []
-    threads = _tile_spy(monkeypatch, lambda zs: seen.append(np.geterr()))
-    with np.errstate(all="raise"):
-        expected = np.geterr()
-        solve_grid(_random_sum(64), _GRID)
-    assert threading.get_ident() not in threads
-    assert len(seen) == 8 and all(e == expected for e in seen)
+# two atoms whose pole arithmetic under- and overflows
+_CLOSE_ATOMS = Measure.atomic([0.0, 2.7e-221], [0.5, 0.5])
+
+
+def test_a_callers_errstate_moves_no_byte_and_raises_nothing(monkeypatch):
+    """Every solve runs under the one floating-point rule, whatever the
+    caller's errstate: under all="raise", with the setup rebuilt each time,
+    a multi-tile, a single-tile and a one-point solve of a system with two
+    atoms 2.7e-221 apart give the bytes of the same solve under numpy's
+    defaults."""
+    monkeypatch.setattr(subordination, "_WORKERS", 2)
+    pair = [_CLOSE_ATOMS, Measure.bernoulli()]
+    calls = [(_random_sum(64) + [_CLOSE_ATOMS], _GRID),
+             (pair, np.linspace(-3, 3, 41) + 0.01j), (pair, [0.3 + 0.2j])]
+    expected = [_digest(solve_grid(ms, zs)) for ms, zs in calls]
+    for (ms, zs), digest in zip(calls, expected):
+        _setup.cache_clear()
+        with np.errstate(all="raise"):
+            assert _digest(solve_grid(ms, zs)) == digest
+
+
+@pytest.mark.parametrize("law", [
+    Measure.atomic([1.0, math.nextafter(1.0, 2.0)], [0.5, 0.5]), _CLOSE_ATOMS,
+    Measure.atomic([-1.0, 0.0, 1e-300], [1 / 3, 1 / 3, 1 / 3]),
+], ids=["one-ulp", "2.7e-221", "three-with-1e-300"])
+@pytest.mark.parametrize("zs", [[0.3 + 0.2j], [0.3 + 0.2j, 1j]],
+                         ids=["one-point", "grid"])
+def test_close_atoms_solve_without_a_warning(law, zs):
+    """Laws with atoms one ulp, 2.7e-221 or 1e-300 apart solve beside a
+    Bernoulli law on both paths, with no RuntimeWarning (an error under
+    this suite's filter), to an F that inverts each summand's G."""
+    ms = [law, Measure.bernoulli()]
+    sol = solve_grid(ms, zs)
+    assert sol.converged.all()
+    for mu, Zi in zip(ms, sol.Z):
+        assert np.abs(sol.F * cauchy(mu, Zi) - 1).max() <= 1e-12
+
+
+def test_a_point_near_the_largest_float_warns_on_neither_path():
+    """z = 1.5e308 + i overflows the grid's start; that is data, not a
+    warning, and G there is the one-point solve's."""
+    b, z = Measure.bernoulli(), 1.5e308 + 1j
+    grid, point = solve_grid([b, b], [z, 1j]), solve_grid([b, b], [z])
+    assert grid.converged.all() and point.converged.all()
+    assert grid.G[0] == point.G[0]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
