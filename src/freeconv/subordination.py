@@ -287,7 +287,7 @@ def _semicircle_point(e):
     """evaluate's semicircle (F, 1/F') at one point."""
     def kernel(Z):
         G = _semicircle_g_point(Z, e)
-        return 1.0 / G, 2.0 - Z * G
+        return _quot(1.0, G), 2.0 - Z * G
 
     return kernel
 

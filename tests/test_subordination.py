@@ -663,11 +663,19 @@ def test_close_atoms_solve_without_a_warning(law, zs):
 
 def test_a_point_near_the_largest_float_warns_on_neither_path():
     """z = 1.5e308 + i overflows the grid's start; that is data, not a
-    warning, and G there is the one-point solve's."""
+    warning, and G there is the one-point solve's.  Beside a semicircle,
+    whose G there underflows to 0 (so a plain 1/G would raise
+    ZeroDivisionError in Python), both paths end the point unconverged."""
     b, z = Measure.bernoulli(), 1.5e308 + 1j
     grid, point = solve_grid([b, b], [z, 1j]), solve_grid([b, b], [z])
     assert grid.converged.all() and point.converged.all()
     assert grid.G[0] == point.G[0]
+    s = Measure.semicircle(0.5)
+    for z in (1.5e308 + 1j, 1.5e308j):
+        for ms in ([s, b], [b, s]):
+            grid, point = solve_grid(ms, [z, 1j]), solve_grid(ms, [z])
+            assert not grid.converged[0] and not point.converged[0]
+            assert grid.converged[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
