@@ -1,15 +1,15 @@
 """Branch-convention complex square root and the Cauchy transform.
 
 The square root places its branch cut on the non-negative real axis:
-sqrt(r e^{i phi}) = sqrt(r) e^{i phi/2} with phi = arg z in (0, 2pi), so the
-imaginary part of the result is always positive.  Equivalently, for
-z = u + iv,
-
-    Re = sgn(v) sqrt((sqrt(u^2+v^2) + u)/2),   Im = sqrt((sqrt(u^2+v^2) - u)/2)
-
-with the convention sgn(0) = +1.  Products of square roots are never
-simplified algebraically: sqrt(z1 z2) != sqrt(z1) sqrt(z2) in general under
-this convention.
+sqrt_cut(z) = i sqrt(-z) in numpy's principal root, whose cut is
+(-inf, 0] and whose values have Re >= 0.  Negating z moves the cut
+[0, inf) onto the principal one, and the factor i turns the right
+half-plane into the upper one, so Im sqrt_cut(z) > 0 off the cut: it is
+sqrt(r) e^{i phi/2} with phi = arg z in (0, 2pi).  For finite z the
+product by i is exact, and numpy's scaled root stays finite up to the
+largest float.  Products of square roots are never simplified
+algebraically: sqrt(z1 z2) != sqrt(z1) sqrt(z2) in general under this
+convention.
 
 The semicircle's G is one closed form in principal roots, _semicircle_g,
 shared by cauchy and the subordination solver.  All functions accept
@@ -29,22 +29,15 @@ _CUT_TOL = 1e-14
 def sqrt_cut(z):
     """Square root with branch cut on [0, inf); Im of the result is > 0.
 
-    Raises BranchCutError if any input lies within 1e-14 of the cut.
+    It is i sqrt(-z) in principal roots: -z moves the cut [0, inf) onto
+    the principal cut (-inf, 0], and i maps the principal root's
+    Re > 0 onto Im > 0.  Raises BranchCutError if any input lies within
+    1e-14 of the cut.
     """
     z = np.asarray(z, dtype=complex)
-    u = z.real
-    v = z.imag
-    on_cut = (np.abs(v) <= _CUT_TOL) & (u >= -_CUT_TOL)
-    if np.any(on_cut):
+    if np.any((np.abs(z.imag) <= _CUT_TOL) & (z.real >= -_CUT_TOL)):
         raise BranchCutError("sqrt_cut evaluated on the [0, inf) branch cut")
-    r = np.hypot(u, v)
-    sgn = np.where(v >= 0.0, 1.0, -1.0)  # sgn(0) = +1
-    # the larger component from the formula above, the other from
-    # re * im = v / 2, so that r + u (or r - u) never cancels
-    big = np.sqrt(0.5 * (r + np.abs(u)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = 0.5 * v / big
-    out = np.where(u >= 0.0, sgn * big + 1j * np.abs(small), small + 1j * big)
+    out = 1j * np.sqrt(-z)
     return out if out.ndim else complex(out)
 
 

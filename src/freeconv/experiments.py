@@ -71,8 +71,7 @@ def fit_loglog_slope(ns, values, errors=None) -> tuple[float, float]:
         err = np.asarray(errors, dtype=float)[keep]
         w = 1.0 / np.maximum(err, 1e-300) ** 2
     x, y = np.log(ns), np.log(values)
-    wm = lambda v: np.sum(w * v) / np.sum(w)
-    xb, yb = wm(x), wm(y)
+    xb, yb = np.average(x, weights=w), np.average(y, weights=w)
     slope = np.sum(w * (x - xb) * (y - yb)) / np.sum(w * (x - xb) ** 2)
     intercept = yb - slope * xb
     resid = y - (intercept + slope * x)
@@ -326,8 +325,7 @@ def detect_support(dist: GriddedDistribution,
     a0, b0 = float(core[0]), float(core[-1])
     d = np.maximum(np.maximum(a0 - grid, grid - b0), 0.0)
     with np.errstate(divide="ignore"):
-        allowance = np.where(d > 0.0, eta / (math.pi * np.maximum(d, 1e-300) ** 2),
-                             np.inf)
+        allowance = eta / (math.pi * d**2)
     flagged = grid[(d > 0.0) & (dens > threshold + allowance)]
     lo = min(a0, float(flagged[0])) if flagged.size else a0
     hi = max(b0, float(flagged[-1])) if flagged.size else b0

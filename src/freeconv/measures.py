@@ -140,11 +140,13 @@ class Measure:
 
     def scale(self, c: float) -> "Measure":
         """Signed dilation x -> c*x; semicircle variance scales by c^2, and
-        c = 0 collapses to the point mass at 0."""
+        c = 0, or a c^2 variance that underflows to 0, collapses to the
+        point mass at 0."""
         if c == 0.0:
             return Measure.point(0.0)
         if self.kind == "semicircle":
-            return Measure.semicircle(c * c * self.variance_param)
+            v = c * c * self.variance_param
+            return Measure.point(0.0) if v == 0.0 else Measure.semicircle(v)
         return Measure.atomic([c * x for x, _ in self.atoms],
                               [w for _, w in self.atoms])
 

@@ -7,8 +7,10 @@ Gaussians are produced by Marsaglia polar rejection from that stream, so the
 k-th sample is identical no matter which other samples are generated or in
 what order.
 
-Seeds and indices must lie in [-2**63, 2**64); they key the stream modulo
-2**64, so negative values wrap as numpy's Philox(key=[s, k]) wraps them.
+Sizes, seeds and indices must be integers (a bool or a float raises
+DomainError); seeds and indices must lie in [-2**63, 2**64), and they key
+the stream modulo 2**64, so negative values wrap as numpy's
+Philox(key=[s, k]) wraps them.
 
 Every draw is a batch, and a scalar index is the one-row batch.  One
 Philox is rekeyed to (s, k) for each row, through a state dict of plain
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,15 @@ class WeightVector:
 
     @staticmethod
     def uniform(n: int) -> "WeightVector":
-        if n < 1:
-            raise DomainError("n must be >= 1")
+        _check_size("n", n, 1)
         return WeightVector(np.full(n, 1.0 / math.sqrt(n)))
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """Raise DomainError, naming the argument, unless value is an integer
+    (not a bool) >= least."""
+    if not (is_integer(value) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {name}={value!r}")
 
 
 def as_weights(theta) -> np.ndarray:
@@ -132,12 +140,11 @@ def _first_round(uv: np.ndarray, out: np.ndarray, w: np.ndarray,
     return short
 
 
-def _key(value) -> int:
+def _key(name: str, value) -> int:
     """A seed or index as its Philox key word: value mod 2**64."""
-    k = int(value)
-    if not -2**63 <= k < 2**64:
-        raise DomainError("seeds and indices must lie in [-2**63, 2**64)")
-    return k % 2**64
+    if not (is_integer(value) and -2**63 <= value < 2**64):
+        raise DomainError(f"{name} must be an integer in [-2**63, 2**64), got {name}={value!r}")
+    return int(value) % 2**64
 
 
 _BLOCK = 1 << 17  # doubles drawn per block: bounds the buffers, not the rows
@@ -160,7 +167,7 @@ def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
     m = max(n, 8)
     bitgen = np.random.Philox(0)  # a fixed seed draws no OS entropy; each row rekeys it
     rng = np.random.Generator(bitgen)
-    key = [_key(seed), 0]
+    key = [_key("seed", seed), 0]
     # the start of the stream Philox(key=key): zero counter, empty buffer;
     # the state setter reads plain ints much faster than numpy scalars
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
@@ -199,11 +206,11 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
     A scalar index gives one WeightVector.  A 1-D integer index array gives
     the (len(index), n) matrix whose rows are those samples' weights, byte
     for byte equal to drawing each row on its own; any other array or
-    sequence raises DomainError.  Seeds and indices must lie in
-    [-2**63, 2**64); they key the stream modulo 2**64.
+    sequence raises DomainError.  n must be an integer >= 1; seeds and
+    indices must be integers in [-2**63, 2**64), and they key the stream
+    modulo 2**64.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_size("n", n, 1)
     if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
         out = np.empty((index.size, n))
         for _ in _blocks(n, seed, index, out):
@@ -218,13 +225,12 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
         index = np.asarray(index)
         raise DomainError("an index must be a scalar or a 1-D integer array, "
                           f"not an array of shape {index.shape} and dtype {index.dtype}")
-    return WeightVector(sample(n, seed, np.array([_key(index)], dtype=np.uint64))[0])
+    return WeightVector(sample(n, seed, np.array([_key("index", index)], dtype=np.uint64))[0])
 
 
 def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     """count-by-n matrix of independent uniform sphere points."""
-    if count < 0:
-        raise DomainError("count must be >= 0")
+    _check_size("count", count, 0)
     return sample(n, seed, np.arange(count))
 
 
@@ -255,8 +261,8 @@ def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
     """The (4, count) row statistics of sample_matrix(n, count, seed), from
     the row reducer: each block is reduced in place, in the draw's buffer
     and one scratch block, so no block allocates."""
-    if n < 1 or count < 0:
-        raise DomainError("need n >= 1 and count >= 0")
+    _check_size("n", n, 1)
+    _check_size("count", count, 0)
     stats = np.empty((4, count))
     scratch = np.empty((_block_rows(n, count), n))
     for lo, mat in _blocks(n, seed, np.arange(count)):
@@ -267,7 +273,8 @@ def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
 def marginal_density(n: int, x):
     """Density of sqrt(n) * theta_1 under the uniform sphere law."""
     x = np.asarray(x, dtype=float)
-    cn = math.gamma(n / 2.0) / (math.sqrt(math.pi * n) * math.gamma((n - 1) / 2.0))
+    # the Gamma ratio from lgamma: Gamma(n/2) alone overflows from n = 344
+    cn = math.exp(math.lgamma(n / 2) - math.lgamma((n - 1) / 2)) / math.sqrt(math.pi * n)
     return cn * np.maximum(1.0 - x * x / n, 0.0) ** ((n - 3) / 2.0)
 
 
@@ -328,8 +335,8 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     empirical frequency, its Monte Carlo standard error and a pass flag
     (empirical <= bound + 3 stderr).  The row statistics are vector_stats'.
     """
-    if n < 4 or samples < 1000:
-        raise DomainError("need n >= 4 and samples >= 1000")
+    _check_size("n", n, 4)
+    _check_size("samples", samples, 1000)
     if not 4.0 <= A < math.inf:  # NaN fails too
         raise DomainError(f"A must be finite and >= 4, not {A!r}")
     max_abs, abs3, abs4, cubes = _sample_stats(n, samples, seed)

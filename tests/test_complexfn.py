@@ -51,6 +51,39 @@ def test_sqrt_cut_continuity_across_negative_axis():
     assert abs(up - dn) < 1e-6
 
 
+def _sqrt_cut_rel_err(z):
+    """Relative error of sqrt_cut at the points z against i sqrt(-z) in
+    40-digit principal roots."""
+    import mpmath
+    w = np.atleast_1d(sqrt_cut(z))
+    with mpmath.workdps(40):
+        refs = [1j * mpmath.sqrt(-mpmath.mpc(zk)) for zk in np.atleast_1d(z)]
+        return np.array([float(abs(mpmath.mpc(wk) - ref) / abs(ref))
+                         for wk, ref in zip(w, refs)])
+
+
+def test_sqrt_cut_finite_near_the_largest_float():
+    """Where |Re z| or |Im z| nears the largest float, the root is finite,
+    in C+ and accurate to rounding."""
+    z = np.array([1e308 + 1e308j, -1.5e308 + 1e308j, 1.7e308 + 1j, -1.7e308 - 1e300j])
+    w = sqrt_cut(z)
+    assert np.all(np.isfinite(w)) and np.all(w.imag > 0)
+    assert np.all(_sqrt_cut_rel_err(z) <= 4.5e-16)
+
+
+def test_sqrt_cut_accurate_over_the_plane():
+    """Against 40 digits at 3000 points off the cut whose parts range from
+    1e-300 to 1e300 in magnitude, in all four quadrants."""
+    rng = np.random.default_rng(15)
+    re, im = rng.choice([-1.0, 1.0], (2, 4800)) * 10.0 ** rng.uniform(-300, 300, (2, 4800))
+    z = re + 1j * im
+    z = z[(np.abs(z.imag) > 1e-14) | (z.real < -1e-14)][:3000]
+    assert z.size == 3000
+    w = sqrt_cut(z)
+    assert np.all(w.imag > 0)
+    assert np.all(_sqrt_cut_rel_err(z) <= 4.5e-16)
+
+
 def test_cauchy_atomic_matches_direct_sum():
     mu = Measure.binomial(0.3)
     z = np.array([0.5 + 1.0j, -1.0 + 0.2j])

@@ -114,6 +114,15 @@ def test_scale_handles_sign_and_zero():
     assert z.atoms == ((0.0, 1.0),)
 
 
+def test_semicircle_scaled_below_the_smallest_variance_is_the_point_mass():
+    """c^2 v underflows to 0 at c = 1e-170: the point mass, as at c = 0, so
+    a valid weight vector with a tiny weight gives valid summands."""
+    from freeconv.subordination import weighted_summands
+    assert Measure.semicircle(1.0).scale(1e-170) == Measure.point(0.0)
+    summands = weighted_summands(Measure.semicircle(1.0), [1.0, 1e-170])
+    assert summands == [Measure.semicircle(1.0), Measure.point(0.0)]
+
+
 def test_standardize_roundtrip():
     mu = Measure.atomic([-3.0, 1.0, 4.0], [0.3, 0.5, 0.2])
     nu = mu.standardize()

@@ -194,7 +194,8 @@ def test_golden_digests(make, digest):
 def test_scalar_index_still_gives_weight_vector():
     assert isinstance(sample(6, 4, 7), WeightVector)
     assert isinstance(sample(6, 4, np.int64(7)), WeightVector)
-    assert np.array_equal(sample(6, 4, 7.9).theta, sample(6, 4, 7).theta)
+    with pytest.raises(DomainError, match="index must be an integer"):
+        sample(6, 4, 7.9)
 
 
 @pytest.mark.parametrize("index", [
@@ -219,6 +220,29 @@ def test_sample_rejects_a_ragged_index(index):
 def test_sample_rejects_dimension_below_one(n):
     with pytest.raises(DomainError, match="n must be"):
         sample(n, seed=0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sample(8, 0.5, 1), "seed"),
+    (lambda: sample(8, True, 1), "seed"),
+    (lambda: sample(8, 0, 1.7), "index"),
+    (lambda: sample(8, 0, True), "index"),
+    (lambda: sample(8.0, 0, 1), "n"),
+    (lambda: sample_matrix(8, True, 0), "count"),
+    (lambda: sample_matrix(8, 2.5, 0), "count"),
+    (lambda: sample_matrix(8, 4, 1.0), "seed"),
+    (lambda: concentration_report(8, 1000.5, 0), "samples"),
+    (lambda: concentration_report(8.0, 1000, 0), "n"),
+    (lambda: WeightVector.uniform(4.0), "n"),
+    (lambda: WeightVector.uniform(True), "n"),
+], ids=["float-seed", "bool-seed", "float-index", "bool-index", "float-n",
+        "bool-count", "float-count", "float-seed-matrix", "float-samples",
+        "float-n-report", "float-n-uniform", "bool-n-uniform"])
+def test_sizes_seeds_and_indices_must_be_integers(call, name):
+    """A float or a bool is no size, seed or index: it is not truncated to
+    one, and the error names the argument."""
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call()
 
 
 def test_sample_matrix_count_edges():
@@ -332,10 +356,16 @@ def test_vector_stats_power_sums():
 
 
 def test_marginal_density_normalizes():
-    for n in (4, 16, 64):
+    # a ratio of math.gamma values is 0 at n = 343 and overflows from 344
+    for n in (4, 16, 64, 343, 400, 1024, 65536):
         x = np.linspace(-math.sqrt(n), math.sqrt(n), 20001)
         mass = np.trapezoid(marginal_density(n, x), x)
         assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_marginal_chi2_at_large_n():
+    p = marginal_chi2_pvalue(1024, sample_matrix(1024, 2000, 0))
+    assert 0.0 < p <= 1.0
 
 
 def test_marginal_chi2_accepts_true_distribution():
