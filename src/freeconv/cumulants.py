@@ -1,16 +1,16 @@
 """Moment/free-cumulant conversion, truncated K-transform series, and the
 superconvergence series phi_theta.
 
-The conversion uses the free moment-cumulant recursion
+M(z) = 1 + sum m_n z^n and C(w) = 1 + sum kappa_s w^s satisfy M(z) =
+C(z M(z)), and Lagrange inversion (Nica-Speicher, Lecture 16) gives
 
-    m_n = sum_{s=1}^{n} kappa_s * sum_{i_1+...+i_s = n-s, i_j >= 0} m_{i_1}...m_{i_s}
+    m_n = [w^n] C^{n+1} / (n+1),   kappa_n = -[z^n] B^{n-1} / (n-1),  B = 1/M,
 
-with m_0 = 1.  The inner sum is the coefficient of t^{n-s} in M(t)^s,
-M(t) = sum_i m_i t^i; both directions grow the table of those coefficients
-one degree at a time, so each needs O(N^3) flops in N vectorized steps.  An
-exponential enumeration over non-crossing partitions is kept as a test
-oracle only (see tests).  phi_theta's powers of the weights are running
-products, as vector_stats' are, so its m = 3 and 4 sums are the same bytes.
+and kappa_1 = m_1.  _powers builds the powers in about 2 log2(N) small
+matmuls, after an N-step series division for B; a pivoted solve or a
+product-form triangular inverse would lose digits.  The exact oracles are
+in the tests.  phi_theta's powers of the weights are running products, as
+vector_stats' are, so its m = 3 and 4 sums are the same bytes.
 """
 
 from __future__ import annotations
@@ -24,45 +24,45 @@ from .sphere import as_weights
 DEFAULT_ORDER = 32
 
 
-def _free_relation(m: np.ndarray, kappa: np.ndarray, moments_known: bool) -> None:
-    """Complete m_n = sum_{s=1}^{n} kappa_s [t^{n-s}] M(t)^s in place.
+def _powers(c: np.ndarray, count: int) -> np.ndarray:
+    """P[s, t] = [x^t] c(x)^s for s < count and t < c.size: the columns
+    T^s e_0, T the lower-triangular Toeplitz matrix of c, by doubling
+    K <- [K, T K] and T <- T T."""
+    lag = np.subtract.outer(np.arange(c.size), np.arange(c.size))
+    T = np.where(lag >= 0, c[lag], 0.0)
+    K = np.eye(c.size, 1)
+    while True:
+        K = np.hstack([K, T @ K])
+        if K.shape[1] >= count:
+            return K[:, :count].T
+        T = T @ T
 
-    m and kappa have length N + 1 with m[0] = 1; the side named by
-    ``moments_known`` holds m_1..m_N (or kappa_1..kappa_N) and the other is
-    filled.  P[s, t] = [t^t] M(t)^s; its column t depends on m_1..m_t only,
-    and P[s, t] = P[s-1, t] + sum_{i=1}^{t} P[s-1, t-i] m_i, a cumulative
-    sum over s.
-    """
-    N = m.size - 1
-    P = np.zeros((N + 1, N + 1))
-    P[:, 0] = 1.0  # m_0^s
-    for n in range(1, N + 1):
-        s = np.arange(1, n)
-        lower = float(kappa[1:n] @ P[s, n - s])  # the s = n term is kappa_n
-        if moments_known:
-            kappa[n] = m[n] - lower
-        else:
-            m[n] = lower + kappa[n]
-        P[1:, n] = np.cumsum(P[:-1, n - 1::-1] @ m[1:n + 1])
+
+def _series(seq, noun: str) -> np.ndarray:
+    """seq as a 1-D array of at least one finite float, or DomainError."""
+    a = np.asarray(seq, dtype=float)
+    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
+        raise DomainError(f"need a 1-D sequence of at least one {noun}, all finite; got {seq!r}")
+    return a
 
 
 def moments_to_cumulants(moments) -> tuple[float, ...]:
-    """Invert the free moment-cumulant recursion; exact at working precision."""
-    m = np.concatenate([[1.0], np.asarray(moments, dtype=float)])
-    if m.size < 2:
-        raise DomainError("need at least one moment")
-    kappa = np.zeros_like(m)
-    _free_relation(m, kappa, moments_known=True)
-    return tuple(kappa[1:].tolist())
+    """kappa_1 = m_1 and kappa_n = -[z^n] B(z)^{n-1} / (n-1), B = 1/M."""
+    m = _series(moments, "moment")
+    b = np.eye(1, m.size + 1)[0]
+    for n in range(1, b.size):  # B = 1/M: sum_{i=0}^{n} m_i b_{n-i} = 0
+        b[n] = -(m[:n] @ b[n - 1::-1])
+    n = np.arange(2, b.size)
+    kappa = -_powers(b, m.size)[n - 1, n] / (n - 1)
+    return (float(m[0]), *kappa.tolist())
 
 
 def cumulants_to_moments(seq) -> list[float]:
-    """Forward free moment-cumulant recursion (exact inverse of the above)."""
-    kappa = np.concatenate([[0.0], np.asarray(seq, dtype=float)])
-    m = np.zeros_like(kappa)
-    m[0] = 1.0
-    _free_relation(m, kappa, moments_known=False)
-    return m[1:].tolist()
+    """m_n = [w^n] C(w)^{n+1} / (n+1), C = 1 + sum_s kappa_s w^s."""
+    kappa = _series(seq, "cumulant")
+    n = np.arange(1, kappa.size + 1)
+    return (_powers(np.concatenate([[1.0], kappa]), kappa.size + 2)[n + 1, n]
+            / (n + 1)).tolist()
 
 
 def measure_cumulants(mu: Measure, order: int) -> tuple[float, ...]:
@@ -73,8 +73,7 @@ def measure_cumulants(mu: Measure, order: int) -> tuple[float, ...]:
     """
     if not (is_integer(order) and order >= 1):
         raise DomainError(f"order must be an integer >= 1, got order={order!r}")
-    moments = [mu.moment(k) for k in range(1, order + 1)]
-    return moments_to_cumulants(moments)
+    return moments_to_cumulants([mu.moment(k) for k in range(1, order + 1)])
 
 
 def kargin_bound_check(mu: Measure, order: int) -> list[dict]:

@@ -272,6 +272,7 @@ def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
 
 def marginal_density(n: int, x):
     """Density of sqrt(n) * theta_1 under the uniform sphere law."""
+    _check_size("n", n, 2)
     x = np.asarray(x, dtype=float)
     # the Gamma ratio from lgamma: Gamma(n/2) alone overflows from n = 344
     cn = math.exp(math.lgamma(n / 2) - math.lgamma((n - 1) / 2)) / math.sqrt(math.pi * n)
@@ -300,6 +301,7 @@ def _chi2_sf(k: int, x: float) -> float:
 
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
+    _check_size("n", n, 2)
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)

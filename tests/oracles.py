@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 These are deliberately brute-force or closed-form and share no code with
-the library: non-crossing-partition sums for free cumulants, the exact
+the library: non-crossing-partition sums for free cumulants, the free
+moment-cumulant relation in exact rational arithmetic, the exact
 Cauchy transform of the normalized n-fold convolution of a standardized
 two-atom measure, F and 1/F' of an atomic or semicircle law and the
 zeros of an atomic law's G in 40-digit arithmetic, and the Levy and Delta_eps distances of two step CDFs
@@ -48,6 +49,45 @@ def moments_from_cumulants_nc(kappa, order):
                 total += math.prod(kappa[len(b) - 1] for b in part)
         out.append(total)
     return out
+
+
+def _free_relation_exact(known, moments_known):
+    """Complete m_n = sum_{s=1}^{n} kappa_s [t^{n-s}] M(t)^s, m_0 = 1, in
+    Fraction arithmetic, each float of ``known`` converted exactly.
+
+    ``known`` holds m_1..m_N (moments_known) or kappa_1..kappa_N; both
+    sequences are returned.  P[s][t] = [t^t] M(t)^s is grown one column
+    at a time, since column t needs m_0..m_t only, and only for
+    s + t <= N.
+    """
+    from fractions import Fraction  # here: the benchmark imports this module
+    N = len(known)
+    m, kappa = [Fraction(1)] + [None] * N, [Fraction(0)] + [None] * N
+    side = m if moments_known else kappa
+    side[1:] = [Fraction(x) for x in known]
+    P = [[Fraction(1)] for _ in range(N + 1)]  # [t^0] M^s = 1
+    P[0] += [Fraction(0)] * N  # M^0 = 1
+    for n in range(1, N + 1):
+        lower = sum(kappa[s] * P[s][n - s] for s in range(1, n))
+        if moments_known:
+            kappa[n] = m[n] - lower
+        else:
+            m[n] = lower + kappa[n]
+        for s in range(1, N + 1 - n):
+            P[s].append(sum(m[i] * P[s - 1][n - i] for i in range(n + 1)))
+    return m[1:], kappa[1:]
+
+
+def moments_to_cumulants_exact(moments):
+    """Free cumulants kappa_1..kappa_N of the float moments m_1..m_N, as
+    exact Fractions."""
+    return _free_relation_exact(moments, True)[1]
+
+
+def cumulants_to_moments_exact(kappa):
+    """Moments m_1..m_N of the float free cumulants kappa_1..kappa_N, as
+    exact Fractions."""
+    return _free_relation_exact(kappa, False)[0]
 
 
 def binomial_convolution_g(p, n, z):

@@ -363,6 +363,22 @@ def test_marginal_density_normalizes():
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2.5, True], ids=["one", "float", "bool"])
+def test_marginal_density_and_chi2_check_n(n):
+    """The sphere dimension is an integer >= 2: n = 1 would reach
+    lgamma(0), and n = 2.5 names no sphere."""
+    with pytest.raises(DomainError, match="^n must be an integer >= 2"):
+        marginal_density(n, 0.0)
+    with pytest.raises(DomainError, match="^n must be an integer >= 2"):
+        marginal_chi2_pvalue(n, sample_matrix(8, 1000, 0))
+
+
+def test_marginal_density_and_chi2_take_a_numpy_integer():
+    samples = sample_matrix(64, 2000, 0)
+    assert marginal_density(np.int64(64), 0.5) == marginal_density(64, 0.5)
+    assert marginal_chi2_pvalue(np.int64(64), samples) == marginal_chi2_pvalue(64, samples)
+
+
 def test_marginal_chi2_at_large_n():
     p = marginal_chi2_pvalue(1024, sample_matrix(1024, 2000, 0))
     assert 0.0 < p <= 1.0
