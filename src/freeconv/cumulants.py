@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, OutOfDiscError, is_integer
+from .errors import DomainError, OutOfDiscError, check_integer
 from .measures import Measure
 from .sphere import as_weights
 
@@ -71,8 +71,7 @@ def measure_cumulants(mu: Measure, order: int) -> tuple[float, ...]:
     An order that is not an integer >= 1 raises DomainError, here and so in
     kargin_bound_check and phi_theta, which take their cumulants from here.
     """
-    if not (is_integer(order) and order >= 1):
-        raise DomainError(f"order must be an integer >= 1, got order={order!r}")
+    check_integer("order", order, 1)
     return moments_to_cumulants([mu.moment(k) for k in range(1, order + 1)])
 
 

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the integer test of
-its input checks."""
+"""Exception hierarchy shared across the package, and the two rules of its
+input checks: check_integer for every count, size and order, and
+check_between for every real bounded on both sides.  Each raises
+DomainError naming the argument."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class FreeconvError(Exception):
@@ -40,3 +42,18 @@ class OutOfDiscError(DomainError):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool or a float."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise DomainError, naming the argument, unless value is an integer
+    (not a bool) >= least.  A plain int is tested first: Measure.moment
+    runs this check thousands of times per weighted sum."""
+    if not ((type(value) is int or is_integer(value)) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {name}={value!r}")
+
+
+def check_between(name: str, value, lo: float, hi: float) -> None:
+    """Raise DomainError, naming the argument, unless value is a real
+    number (not a bool) with lo < value < hi; NaN fails."""
+    if not (isinstance(value, Real) and not isinstance(value, bool) and lo < value < hi):
+        raise DomainError(f"{name} must be in ({lo:g}, {hi:g}), got {name}={value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexfn import cauchy, sqrt_cut
-from .errors import BranchCutError, DomainError, is_integer
+from .errors import BranchCutError, DomainError, check_between, check_integer, is_integer
 from .inversion import (DEFAULT_ETA, DEFAULT_POINTS, GriddedDistribution,
                         csv_table, delta_eps, delta_tilde, kolmogorov, levy,
                         recover)
@@ -193,8 +193,7 @@ def rate_experiment(mu: Measure, n_schedule, weight_mode: str = "uniform",
     unknown = set(metrics) - {"delta", "levy", "delta_eps", "delta_tilde"}
     if unknown:
         raise DomainError(f"unknown metrics {sorted(unknown)}")
-    if not (is_integer(reps) and reps >= 1):
-        raise DomainError(f"reps must be an integer >= 1, got reps={reps!r}")
+    check_integer("reps", reps, 1)
     mu = mu.standardize()
     rows = []
     for n in ns:
@@ -336,8 +335,7 @@ def support_experiment(mu: Measure, theta, density_threshold: float = 1e-5,
                        eta: float = 1e-4, points: int = DEFAULT_POINTS,
                        opts: SolveOptions = DEFAULT_OPTIONS) -> SupportReport:
     """Verify the superconvergence support enclosures for a weighted sum."""
-    if not 0.0 < density_threshold < math.inf:  # NaN fails too
-        raise DomainError("density_threshold must be finite and positive")
+    check_between("density_threshold", density_threshold, 0.0, math.inf)
     mu = mu.standardize()
     th = as_weights(theta)
     L = mu.support_radius

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError, is_integer
+from .errors import DomainError, InversionError, check_between, check_integer
 from .measures import Measure
 
 DEFAULT_ETA = 1e-3
@@ -107,16 +107,14 @@ def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,
     that is its own mirror image bit for bit (0 at the centre of an odd
     count), which np.linspace's does not.  A density dip below -1e-12
     signals a broken transform and raises InversionError.  Non-finite or
-    unordered ends, an eta that is not finite and positive, and a points
-    that is not an integer >= 2 raise DomainError naming the argument.
+    unordered ends, an eta outside (0, inf) and a points that is not an
+    integer >= 2 raise DomainError naming the argument.
     """
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"recover needs finite x_min < x_max, got "
                           f"x_min={x_min!r}, x_max={x_max!r}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"recover needs a finite eta > 0, got eta={eta!r}")
-    if not (is_integer(points) and points >= 2):
-        raise DomainError(f"recover needs an integer points >= 2, got points={points!r}")
+    check_between("eta", eta, 0.0, math.inf)
+    check_integer("points", points, 2)
     t = (2.0 * np.arange(points) - (points - 1)) / (points - 1)
     grid = (0.5 * x_min + 0.5 * x_max) + (0.5 * x_max - 0.5 * x_min) * t
     grid[0], grid[-1] = x_min, x_max
@@ -216,8 +214,7 @@ def levy(a, b) -> float:
 def delta_eps(a, b, eps: float) -> float:
     """Interval-probability sup over [-2+eps, 2-eps], anchored at -2+eps,
     taken at the grid nodes inside the window and its two ends."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must be in (0, 1)")
+    check_between("eps", eps, 0.0, 1.0)
     lo, hi = -2.0 + eps, 2.0 - eps
     # beyond a measure's support its CDF is exactly 0 or 1, as interp clamps
     if any(isinstance(x, GriddedDistribution) and (x.x_min > lo or x.x_max < hi)
@@ -236,12 +233,9 @@ def delta_tilde(g_a, g_b, a: float, eps: float, u_points: int = 801) -> float:
     graded Gauss-Legendre value, so G_a and G_b are each called at 27 scalar
     points per u; when the 13-node value differs from it by more than
     _QUAD_TOL, or either is not finite, InversionError names u."""
-    if not (0.0 < a < 1.0):
-        raise DomainError("a must be in (0, 1)")
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must be in (0, 1)")
-    if not (is_integer(u_points) and u_points >= 1):
-        raise DomainError(f"u_points must be an integer >= 1, got {u_points!r}")
+    check_between("a", a, 0.0, 1.0)
+    check_between("eps", eps, 0.0, 1.0)
+    check_integer("u_points", u_points, 1)
     rules = []
     for k in (13, 14):  # Gauss-Legendre in v = a^((1-x)/2): dv = v ln(1/a)/2 dx
         x, w = np.polynomial.legendre.leggauss(k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError
+from .errors import DegenerateMeasureError, DomainError, check_between, check_integer
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -91,8 +91,7 @@ class Measure:
         Standardized (mean 0, variance 1) for every p in (0, 1); p = 1/2
         recovers the Bernoulli law.
         """
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"binomial parameter must be in (0,1), got {p}")
+        check_between("p", p, 0.0, 1.0)
         q = 1.0 - p
         return Measure.atomic(
             [-math.sqrt(p / q), math.sqrt(q / p)], [q, p]
@@ -100,15 +99,15 @@ class Measure:
 
     # -- basic statistics --------------------------------------------------
 
-    def moment(self, k: int) -> float:
-        """k-th raw moment; exact for atoms, closed form for the semicircle."""
-        if k < 1:
-            raise DomainError("moment order must be >= 1")
+    def moment(self, order: int) -> float:
+        """Raw moment of an integer order >= 1; exact for atoms, closed form
+        for the semicircle."""
+        check_integer("order", order, 1)
         if self.kind == "atomic":
-            return sum(w * x**k for x, w in self.atoms)
-        if k % 2 == 1:
+            return sum(w * x**order for x, w in self.atoms)
+        if order % 2 == 1:
             return 0.0
-        return self.variance_param ** (k // 2) * _catalan(k // 2)
+        return self.variance_param ** (order // 2) * _catalan(order // 2)
 
     @property
     def mean(self) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, is_integer
+from .errors import DomainError, check_integer, is_integer
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,8 @@ class WeightVector:
 
     @staticmethod
     def uniform(n: int) -> "WeightVector":
-        _check_size("n", n, 1)
+        check_integer("n", n, 1)
         return WeightVector(np.full(n, 1.0 / math.sqrt(n)))
-
-
-def _check_size(name: str, value, least: int) -> None:
-    """Raise DomainError, naming the argument, unless value is an integer
-    (not a bool) >= least."""
-    if not (is_integer(value) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {name}={value!r}")
 
 
 def as_weights(theta) -> np.ndarray:
@@ -210,7 +203,7 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
     indices must be integers in [-2**63, 2**64), and they key the stream
     modulo 2**64.
     """
-    _check_size("n", n, 1)
+    check_integer("n", n, 1)
     if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
         out = np.empty((index.size, n))
         for _ in _blocks(n, seed, index, out):
@@ -230,7 +223,7 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
 
 def sample_matrix(n: int, count: int, seed: int) -> np.ndarray:
     """count-by-n matrix of independent uniform sphere points."""
-    _check_size("count", count, 0)
+    check_integer("count", count, 0)
     return sample(n, seed, np.arange(count))
 
 
@@ -261,8 +254,8 @@ def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
     """The (4, count) row statistics of sample_matrix(n, count, seed), from
     the row reducer: each block is reduced in place, in the draw's buffer
     and one scratch block, so no block allocates."""
-    _check_size("n", n, 1)
-    _check_size("count", count, 0)
+    check_integer("n", n, 1)
+    check_integer("count", count, 0)
     stats = np.empty((4, count))
     scratch = np.empty((_block_rows(n, count), n))
     for lo, mat in _blocks(n, seed, np.arange(count)):
@@ -272,11 +265,13 @@ def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
 
 def marginal_density(n: int, x):
     """Density of sqrt(n) * theta_1 under the uniform sphere law."""
-    _check_size("n", n, 2)
+    check_integer("n", n, 2)
     x = np.asarray(x, dtype=float)
     # the Gamma ratio from lgamma: Gamma(n/2) alone overflows from n = 344
     cn = math.exp(math.lgamma(n / 2) - math.lgamma((n - 1) / 2)) / math.sqrt(math.pi * n)
-    return cn * np.maximum(1.0 - x * x / n, 0.0) ** ((n - 3) / 2.0)
+    u = 1.0 - x * x / n
+    # 0 where 1 - x^2/n <= 0, where n = 2's power is infinite and n = 3's is 1
+    return cn * np.power(u, (n - 3) / 2.0, out=np.zeros_like(u), where=~(u <= 0.0))
 
 
 _CHI2_BINS = 40  # equal-width bins over [-min(sqrt(n), 6), min(sqrt(n), 6)]
@@ -301,15 +296,18 @@ def _chi2_sf(k: int, x: float) -> float:
 
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
-    _check_size("n", n, 2)
+    check_integer("n", n, 2)
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)
     counts, _ = np.histogram(x, bins=edges)
-    fine = np.linspace(edges[0], edges[-1], _CHI2_BINS * 50 + 1)
-    dens = marginal_density(n, fine)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))])
-    probs = np.interp(edges, fine, cdf)
+    if n == 2:  # the arcsine law: no trapezoid integrates its 1/sqrt edges
+        probs = 0.5 + np.arcsin(edges / math.sqrt(2.0)) / math.pi
+    else:
+        fine = np.linspace(edges[0], edges[-1], _CHI2_BINS * 50 + 1)
+        dens = marginal_density(n, fine)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))])
+        probs = np.interp(edges, fine, cdf)
     probs = np.diff(probs)
     probs = probs / probs.sum()
     expected = probs * counts.sum()
@@ -337,8 +335,8 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     empirical frequency, its Monte Carlo standard error and a pass flag
     (empirical <= bound + 3 stderr).  The row statistics are vector_stats'.
     """
-    _check_size("n", n, 4)
-    _check_size("samples", samples, 1000)
+    check_integer("n", n, 4)
+    check_integer("samples", samples, 1000)
     if not 4.0 <= A < math.inf:  # NaN fails too
         raise DomainError(f"A must be finite and >= 4, not {A!r}")
     max_abs, abs3, abs4, cubes = _sample_stats(n, samples, seed)

@@ -38,9 +38,10 @@ np.errstate(all="ignore"), and _newton sets it again for its tile: a
 worker thread starts from numpy's defaults.
 
 The one algorithm runs in two arithmetics.  A grid runs it on numpy
-arrays (_newton).  One point of a system of at most _POINT_ATOMS = 32
-coordinate-atoms (an atomic law counts its atoms, a semicircle 1) runs it
-in Python complex arithmetic (_newton_point): there a pass of _newton is
+arrays (_newton), and so does every solve given an init.  One free-CLT
+started point of a system of at most _POINT_ATOMS = 32 coordinate-atoms
+(an atomic law counts its atoms, a semicircle 1) runs it in Python
+complex arithmetic (_newton_point): there a pass of _newton is
 some 70 numpy calls on one-element arrays, whose dispatch costs far more
 than the arithmetic.  Both take the same start, kernels, step, sweep, Im
 clamp and stop test, in the same order of operations.  At the points
@@ -69,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexfn import _semicircle_g
-from .errors import DomainError, IterationError, is_integer
+from .errors import DomainError, IterationError, check_between, check_integer
 from .measures import Measure
 from .sphere import as_weights
 
@@ -80,11 +81,8 @@ class SolveOptions:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:  # NaN fails too
-            raise DomainError(f"tol must be finite and positive, got tol={self.tol!r}")
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise DomainError("max_iters must be an integer >= 1, "
-                              f"got max_iters={self.max_iters!r}")
+        check_between("tol", self.tol, 0.0, math.inf)
+        check_integer("max_iters", self.max_iters, 1)
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -417,10 +415,10 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     Returns the GridSolution (Z, F, G, residual, iterations, converged)
     with Z of shape (n, m).  zs is a point or a 1-D array of points, each
     finite with Im z > 0.  ``init`` replaces the free-CLT start: shape
-    (n, m), or (n,) for one point, finite, with Im Z_i >= Im z.  Without
-    it, duplicate measures share a coordinate: the fixed point is symmetric
-    in identical coordinates and identical measures get identical starts,
-    so the collapsed system has the same solution.  The summands are
+    (n, m), finite, with Im Z_i >= Im z.  Without it, duplicate measures
+    share a coordinate: the fixed point is symmetric in identical
+    coordinates and identical measures get identical starts, so the
+    collapsed system has the same solution.  The summands are
     deduplicated by object identity first (O(n) work in C), then the
     distinct objects by value, in _setup's cache, so n summands that are
     one object, or a few, cost O(distinct) Measure hashes; equal but
@@ -428,10 +426,10 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     every path; when all summands are one measure it is a broadcast of one
     row (stride 0, no n x m copy); a partial collapse gathers the rows.
 
-    One point (m = 1) of a system of at most _POINT_ATOMS coordinate-atoms
-    (the collapsed coordinates, or the n measures with init) is solved by
-    _newton_point in Python complex arithmetic, with _setup's kernels; it
-    returns the same GridSolution.  Any other call runs _newton.
+    One point (m = 1) without init, of at most _POINT_ATOMS collapsed
+    coordinate-atoms, is solved by _newton_point in Python complex
+    arithmetic, with _setup's kernels; it returns the same GridSolution.
+    Any other call, every call with init too, runs _newton.
 
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block): the Newton
@@ -456,8 +454,6 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
 
     if init is not None:
         Z = np.array(init, dtype=complex)
-        if Z.shape == (n,) and m == 1:
-            Z = Z.reshape(n, 1)
         if Z.shape != (n, m) or not (np.isfinite(Z) & (Z.imag >= zs.imag)).all():
             raise DomainError(f"init must be finite, of shape ({n}, {m}), "
                               "with Im Z_i >= Im z")
@@ -467,20 +463,17 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
             expand, c, evaluate, kernels, (scale, mean, var, shift) = _setup(
                 *by_identity(measures))
         else:
-            expand, c = None, np.ones(n, complex)
-            evaluate, kernels = _make_evaluator(measures)
+            expand, c, kernels = None, np.ones(n, complex), None
+            evaluate = _make_evaluator(measures)[0]
         F0 = np.empty(m, dtype=complex)
         res = np.empty(m)
         tol = np.empty(m)
         iterations = np.zeros(m, dtype=int)
         if m == 1 and kernels is not None:  # one point of a small system
             z = complex(zs[0])
-            if init is None:  # free-CLT start
-                g = _semicircle_g_point(z - mean, 2.0 * math.sqrt(var))
-                Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
-                                                   shift[:, 0].tolist())]
-            else:
-                Z = Z[:, 0].tolist()
+            g = _semicircle_g_point(z - mean, 2.0 * math.sqrt(var))  # free-CLT start
+            Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
+                                               shift[:, 0].tolist())]
             Z, F0[0], res[0], tol[0], iterations[0] = _newton_point(
                 kernels, c.tolist(), n, z, opts, Z)
             Z = np.array(Z).reshape(-1, 1)
@@ -509,17 +502,15 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
         return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 
 
-def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS,
-          init=None) -> GridSolution:
-    """Solve the system at a point or an array of points; the checked
-    solve_grid.
+def solve(measures, z, opts: SolveOptions = DEFAULT_OPTIONS) -> GridSolution:
+    """Solve the system at a point or an array of points from the
+    free-CLT start; the checked solve_grid (whose init gives another start).
 
     Raises IterationError naming the first unconverged point, its index and
-    its last residual.  For a scalar z, ``init`` is the Z vector of a
-    neighbouring solution (warm start) and the result holds that point's
+    its last residual.  For a scalar z the result holds that point's
     entries: Z of shape (n,), the other fields Python scalars.
     """
-    sol = solve_grid(measures, z, opts, init)
+    sol = solve_grid(measures, z, opts)
     if not sol.converged.all():
         bad = int(np.argmax(~sol.converged))
         res, iters = float(sol.residual[bad]), int(sol.iterations[bad])

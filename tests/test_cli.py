@@ -243,7 +243,7 @@ def test_support_threshold_not_finite_and_positive_is_config_error(threshold,
     code = run(["support", "--preset", "bernoulli", "--n", "16", "--points",
                 "201", f"--threshold={threshold}", "--output", "-"])
     assert code == 1
-    assert "density_threshold must be finite and positive" in capsys.readouterr().err
+    assert "density_threshold must be in (0, inf)" in capsys.readouterr().err
 
 
 def test_output_to_unwritable_path_is_io_error(tmp_path):
@@ -349,7 +349,7 @@ def test_tol_not_finite_and_positive_is_config_error(tmp_path, capsys, tol):
     code = run(["convolve", "--preset", "bernoulli", "--preset", "bernoulli",
                 f"--tol={tol}", "--output", str(out)])
     assert code == 1
-    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert "tol must be in (0, inf)" in capsys.readouterr().err
     assert not out.exists()
 
 

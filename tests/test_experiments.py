@@ -185,7 +185,7 @@ def test_detect_support_needs_a_density_core():
         detect_support(flat, threshold=1e-5)
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1e-5, math.nan, math.inf])
+@pytest.mark.parametrize("threshold", [0.0, -1e-5, math.nan, math.inf, True])
 def test_support_experiment_rejects_nonpositive_threshold(threshold):
     with pytest.raises(DomainError, match="density_threshold"):
         support_experiment(Measure.bernoulli(), WeightVector.uniform(4),

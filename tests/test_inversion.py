@@ -90,10 +90,11 @@ def test_recover_validates_arguments():
     ({"points": True}, "points"), ({"points": 1}, "points"),
     ({"points": np.int64(1)}, "points"),
     ({"eta": math.inf}, "eta"), ({"eta": math.nan}, "eta"), ({"eta": -1e-3}, "eta"),
+    ({"eta": True}, "eta"),
     ({"x_min": -math.inf}, "x_min"), ({"x_min": math.nan}, "x_min"),
     ({"x_max": math.inf}, "x_max"), ({"x_min": 1.0}, "x_min"),
 ], ids=["points-2.5", "points-5.0", "points-bool", "points-1", "points-int64-1",
-        "eta-inf", "eta-nan", "eta-negative", "x_min-inf", "x_min-nan",
+        "eta-inf", "eta-nan", "eta-negative", "eta-bool", "x_min-inf", "x_min-nan",
         "x_max-inf", "x_min-eq-x_max"])
 def test_recover_rejects_bad_arguments_up_front(kwargs, name):
     """Each bad argument is a DomainError naming it, raised before g_eval
@@ -287,7 +288,7 @@ def test_delta_eps_rejects_eps_out_of_range(eps):
 
 @pytest.mark.parametrize("a, eps, match", [
     (0.0, 0.2, "a must"), (1.0, 0.2, "a must"),
-    (0.05, 0.0, "eps must"), (0.05, 1.0, "eps must"),
+    (0.05, 0.0, "eps must"), (0.05, 1.0, "eps must"), ("0.5", 0.2, "a must"),
 ])
 def test_delta_tilde_rejects_parameters_out_of_range(a, eps, match):
     g = lambda z: 0j

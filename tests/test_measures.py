@@ -130,9 +130,9 @@ def test_standardize_roundtrip():
     assert nu.var == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, "0.5"])
 def test_binomial_rejects_p_outside_unit_interval(p):
-    with pytest.raises(DomainError, match="binomial parameter"):
+    with pytest.raises(DomainError, match=r"p must be in \(0, 1\)"):
         Measure.binomial(p)
 
 

@@ -379,6 +379,19 @@ def test_marginal_density_and_chi2_take_a_numpy_integer():
     assert marginal_chi2_pvalue(np.int64(64), samples) == marginal_chi2_pvalue(64, samples)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_marginal_density_and_chi2_at_the_smallest_spheres(n):
+    """The density is 0 off (-sqrt(n), sqrt(n)): n = 3's flat density and
+    n = 2's infinite arcsine edges do not leak past them.  The chi-squared
+    test at n = 2 takes its bins from the arcsine CDF, with no RuntimeWarning
+    (an error under this suite's filter), and accepts the true law."""
+    assert marginal_density(n, [-1.9, 1.9]).tolist() == [0.0, 0.0]
+    x = np.linspace(-math.sqrt(n), math.sqrt(n), 200001)[1:-1]
+    assert np.trapezoid(marginal_density(n, x), x) == pytest.approx(1.0, abs=1e-2)
+    for seed in range(3):
+        assert marginal_chi2_pvalue(n, sample_matrix(n, 2000, seed)) > 0.01
+
+
 def test_marginal_chi2_at_large_n():
     p = marginal_chi2_pvalue(1024, sample_matrix(1024, 2000, 0))
     assert 0.0 < p <= 1.0

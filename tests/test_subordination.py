@@ -85,8 +85,8 @@ def test_warm_start_matches_cold_start():
     ms = [Measure.bernoulli()] * 4
     z0, z1 = 0.5 + 0.3j, 0.55 + 0.3j
     cold = solve(ms, z1)
-    warm = solve(ms, z1, init=solve(ms, z0).Z)
-    assert warm.G == pytest.approx(cold.G, abs=1e-9)
+    warm = solve_grid(ms, [z1], init=solve(ms, z0).Z[:, None])
+    assert warm.G[0] == pytest.approx(cold.G, abs=1e-9)
 
 
 def test_duplicate_collapse_matches_full_system():
@@ -112,16 +112,13 @@ def test_scalar_solve_is_column_zero_of_grid_solve():
     ms = [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64),
           Measure.bernoulli().scale(0.6)]
     z = 0.35 + 0.07j
-    init = solve(ms, 0.3 + 0.07j).Z
-    for point, grid in ((solve(ms, z), solve(ms, [z])),
-                        (solve(ms, z, init=init),
-                         solve_grid(ms, [z], init=init[:, None]))):
-        assert type(point.G) is complex and type(point.F) is complex
-        assert type(point.iterations) is int and point.converged is True
-        assert point.Z.shape == (3,)
-        assert np.array_equal(point.Z, grid.Z[:, 0])
-        for name in ("F", "G", "residual", "iterations", "converged"):
-            assert getattr(point, name) == getattr(grid, name)[0]
+    point, grid = solve(ms, z), solve(ms, [z])
+    assert type(point.G) is complex and type(point.F) is complex
+    assert type(point.iterations) is int and point.converged is True
+    assert point.Z.shape == (3,)
+    assert np.array_equal(point.Z, grid.Z[:, 0])
+    for name in ("F", "G", "residual", "iterations", "converged"):
+        assert getattr(point, name) == getattr(grid, name)[0]
 
 
 def test_reciprocal_subordination_relation():
@@ -357,10 +354,11 @@ def test_weighted_sum_g_uses_signed_weights():
 
 
 def test_solve_options_validation():
-    """tol must be finite and positive and max_iters an integer >= 1."""
+    """tol must be a real in (0, inf) and max_iters an integer >= 1."""
     for kw in ({"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
                {"tol": math.nan}, {"max_iters": 0}, {"max_iters": 2.5},
-               {"max_iters": 3.0}, {"max_iters": True}, {"tol": True}):
+               {"max_iters": 3.0}, {"max_iters": True}, {"tol": True},
+               {"tol": "1e-3"}):
         with pytest.raises(DomainError, match=next(iter(kw))):
             SolveOptions(**kw)
 
@@ -408,7 +406,7 @@ def test_mixed_list_stays_in_domain():
 
 def test_init_below_im_z_rejected():
     with pytest.raises(DomainError):
-        solve([Measure.bernoulli()] * 2, 1j, init=[0.5j, 1j])
+        solve_grid([Measure.bernoulli()] * 2, [1j], init=[[0.5j], [1j]])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -821,11 +819,12 @@ def test_one_point_matches_its_grid_column(laws, picks, x, e):
 def test_one_point_init_matches_its_grid_column():
     """An init warm start, and an init Z_i = i of two Bernoulli summands,
     where F'(i) = 0: the Newton step divides by zero, gives no exception
-    and no RuntimeWarning, and the sweep takes the step on both paths."""
+    and no RuntimeWarning, and the sweep takes the step, at one point and
+    at two."""
     warm = _mixed_pair() * 2
     for ms, z, init in ((warm, 0.35 + 0.07j, solve(warm, 0.3 + 0.07j).Z),
                         ([Measure.bernoulli()] * 2, 0.3 + 0.5j, np.full(2, 1j))):
-        _same_point(solve_grid(ms, [z], init=init),
+        _same_point(solve_grid(ms, [z], init=init[:, None]),
                     solve_grid(ms, [z, z], init=np.tile(init[:, None], 2)))
 
 
@@ -933,7 +932,8 @@ def test_z_is_read_only_on_every_path(ms, kw):
     with pytest.raises(ValueError):
         sol.Z[0, 0] = 0.0
     init = kw.get("init")
-    point = solve(ms, 0.1 + 0.5j, init=None if init is None else init[:, 0])
+    point = (solve(ms, 0.1 + 0.5j) if init is None
+             else solve_grid(ms, [0.1 + 0.5j], init=init[:, :1]))
     with pytest.raises(ValueError):
         point.Z[0] = 0.0
 
