@@ -44,6 +44,11 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy real number; False for a bool or a string."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_integer(name: str, value, least: int) -> None:
     """Raise DomainError, naming the argument, unless value is an integer
     (not a bool) >= least.  A plain int is tested first: Measure.moment
@@ -55,5 +60,5 @@ def check_integer(name: str, value, least: int) -> None:
 def check_between(name: str, value, lo: float, hi: float) -> None:
     """Raise DomainError, naming the argument, unless value is a real
     number (not a bool) with lo < value < hi; NaN fails."""
-    if not (isinstance(value, Real) and not isinstance(value, bool) and lo < value < hi):
+    if not (is_real(value) and lo < value < hi):
         raise DomainError(f"{name} must be in ({lo:g}, {hi:g}), got {name}={value!r}")

@@ -106,11 +106,14 @@ def recover(g_eval, x_min: float, x_max: float, points: int = DEFAULT_POINTS,
     x_max: t_{points-1-k} = -t_k exactly, so a window [-R, R] gives a grid
     that is its own mirror image bit for bit (0 at the centre of an odd
     count), which np.linspace's does not.  A density dip below -1e-12
-    signals a broken transform and raises InversionError.  Non-finite or
-    unordered ends, an eta outside (0, inf) and a points that is not an
-    integer >= 2 raise DomainError naming the argument.
+    signals a broken transform and raises InversionError.  Ends that are
+    not finite real numbers (a bool is none) or not ordered, an eta
+    outside (0, inf) and a points that is not an integer >= 2 raise
+    DomainError naming the argument.
     """
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+    check_between("x_min", x_min, -math.inf, math.inf)
+    check_between("x_max", x_max, -math.inf, math.inf)
+    if not x_min < x_max:
         raise DomainError(f"recover needs finite x_min < x_max, got "
                           f"x_min={x_min!r}, x_max={x_max!r}")
     check_between("eta", eta, 0.0, math.inf)

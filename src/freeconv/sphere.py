@@ -23,24 +23,38 @@ first round yields fewer than n values, or whose norm is 0, is redrawn in
 the block generator by the polar loop from its stream's start, and on along
 the stream while the norm is 0.
 
-One block generator serves a whole draw, with one Philox, one state dict
-and one set of buffers: ``sample`` has it write straight into the returned
+One block generator serves a whole draw (or a worker's slice of one),
+with one Philox, one state dict and one set of buffers: ``sample`` has it write straight into the returned
 matrix, and ``concentration_report`` and the ``sphere`` command reduce
 each block in place by the one row reducer every weight statistic comes
 from, whose powers are running products, theta^m = theta^(m-1) * theta.
 No block allocates, so no memory is trimmed off the heap at one block and
 faulted back in at the next.
+
+A draw of many blocks is split into block-aligned slices of rows, since
+no row's stream needs another's: the parent draws the first slice, and
+an os.fork()ed child each other, into shared memory that holds the
+result.  There are as many workers as cores left free by BLAS (the rule
+subordination's tile threads keep to), at most one per two blocks (a fork
+and wait costs about a block), and one unless os.fork exists and no other
+Python thread is alive; so under OpenBLAS's default of one thread per
+core, or for a draw of a few rows, nothing forks.  Threads would gain
+nothing: the rekey loop holds the GIL.  The bytes do not depend on the
+worker count, and no process outlives a call.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import reprlib
+import threading
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DomainError, check_integer, is_integer
+from .errors import DomainError, check_integer, is_integer, is_real
 
 
 @dataclass(frozen=True)
@@ -193,6 +207,73 @@ def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
         yield lo, block
 
 
+def _free_cores() -> int:
+    """Workers for one step, for subordination's tile threads and the
+    sphere's draw processes alike: the cores this process may run on,
+    divided by the threads of one BLAS call, which OpenBLAS takes from the
+    first positive one of these variables, else one per core.  Its threads
+    spin between calls, so workers on top of them slow the work down."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    env = (os.environ.get(v, "") for v in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas = next((int(v) for v in env if v.isdigit() and int(v) > 0), cores)
+    return max(1, cores // blas)
+
+
+def _draw_workers(blocks: int) -> int:
+    """Processes for a draw of this many blocks: the free cores, but one
+    unless the process can fork with no other Python thread alive, and at
+    most one per two blocks, since a fork and wait costs about a block."""
+    if blocks < 4 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    return min(_free_cores(), blocks // 2)
+
+
+def _split_draw(n: int, rows: int, shape: tuple, draw) -> np.ndarray:
+    """The array of this shape that draw(out, lo, hi) fills, for slices
+    [lo, hi) of rows on S^{n-1} that are whole blocks but the last.
+
+    One worker fills a np.empty array in one call.  More fill shared
+    memory: each child draws its slice and leaves by os._exit, flushing
+    none of the parent's stdio and running none of its atexit hooks.  The
+    parent waits for every child, even when its own slice raises, then
+    redraws each slice whose child failed, raising what one worker would.
+    """
+    size = _block_rows(n, rows)
+    blocks = -(-rows // size)
+    per = max(1, -(-blocks // _draw_workers(blocks))) * size
+    slices = [(lo, min(lo + per, rows)) for lo in range(0, rows, per)]
+    if len(slices) <= 1:
+        out = np.empty(shape)
+        draw(out, 0, rows)
+        return out
+    import mmap  # only a draw that forks maps shared memory
+    out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+    pids = []
+    try:
+        for lo, hi in slices[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this slice on, the parent draws
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    draw(out, lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        draw(out, *slices[0])
+    finally:
+        codes = [os.waitpid(pid, 0)[1] for pid in pids]
+    for (lo, hi), code in zip_longest(slices[1:], codes, fillvalue=1):
+        if code:
+            draw(out, lo, hi)
+    return out
+
+
 def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.ndarray:
     """Uniform points on S^{n-1}, deterministic given (n, seed, index).
 
@@ -205,10 +286,11 @@ def sample(n: int, seed: int, index: int | np.ndarray = 0) -> WeightVector | np.
     """
     check_integer("n", n, 1)
     if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
-        out = np.empty((index.size, n))
-        for _ in _blocks(n, seed, index, out):
-            pass
-        return out
+        def draw(out, lo, hi):
+            for _ in _blocks(n, seed, index[lo:hi], out[lo:hi]):
+                pass
+
+        return _split_draw(n, index.size, (index.size, n), draw)
     try:
         scalar = np.ndim(index) == 0
     except ValueError:  # a ragged sequence has no shape
@@ -253,14 +335,16 @@ def vector_stats(theta) -> dict:
 def _sample_stats(n: int, count: int, seed: int) -> np.ndarray:
     """The (4, count) row statistics of sample_matrix(n, count, seed), from
     the row reducer: each block is reduced in place, in the draw's buffer
-    and one scratch block, so no block allocates."""
+    and one scratch block per worker, so no block allocates."""
     check_integer("n", n, 1)
     check_integer("count", count, 0)
-    stats = np.empty((4, count))
-    scratch = np.empty((_block_rows(n, count), n))
-    for lo, mat in _blocks(n, seed, np.arange(count)):
-        _row_stats(mat, scratch[:len(mat)], stats[:, lo:lo + len(mat)])
-    return stats
+
+    def draw(stats, lo, hi):
+        scratch = np.empty((_block_rows(n, hi - lo), n))
+        for a, mat in _blocks(n, seed, np.arange(lo, hi)):
+            _row_stats(mat, scratch[:len(mat)], stats[:, lo + a:lo + a + len(mat)])
+
+    return _split_draw(n, count, (4, count), draw)
 
 
 def marginal_density(n: int, x):
@@ -337,8 +421,8 @@ def concentration_report(n: int, samples: int, seed: int, A: float = 4.0) -> dic
     """
     check_integer("n", n, 4)
     check_integer("samples", samples, 1000)
-    if not 4.0 <= A < math.inf:  # NaN fails too
-        raise DomainError(f"A must be finite and >= 4, not {A!r}")
+    if not (is_real(A) and 4.0 <= A < math.inf):  # NaN fails too
+        raise DomainError(f"A must be finite and >= 4, got A={A!r}")
     max_abs, abs3, abs4, cubes = _sample_stats(n, samples, seed)
 
     def entry(name, event, bound):  # event: which rows break the bound

@@ -61,7 +61,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -72,7 +71,7 @@ import numpy as np
 from .complexfn import _semicircle_g
 from .errors import DomainError, IterationError, check_between, check_integer
 from .measures import Measure
-from .sphere import as_weights
+from .sphere import _free_cores, as_weights
 
 
 @dataclass(frozen=True)
@@ -94,20 +93,7 @@ _POINT_ATOMS = 32
 _NAN = complex(math.nan, math.nan)
 
 
-def _tile_workers():
-    """Threads for a multi-tile solve: the cores this process may run on,
-    divided by the threads of one BLAS call, which OpenBLAS takes from the
-    first positive one of these variables, else one per core.  Its threads
-    spin between calls, so tile threads on top of them slow a solve down."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    env = (os.environ.get(v, "") for v in
-           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas = next((int(v) for v in env if v.isdigit() and int(v) > 0), cores)
-    return max(1, cores // blas)
-
-
-_WORKERS = _tile_workers()
+_WORKERS = _free_cores()  # threads for a multi-tile solve
 
 
 class GridSolution(NamedTuple):

@@ -1,6 +1,7 @@
 """The two input rules, check_integer and check_between, at every argument
 that takes them: each bad value is a DomainError naming the argument, and
-numpy scalars pass as the Python numbers they stand for."""
+numpy scalars pass as the Python numbers they stand for.  concentration_report's
+A, closed at 4, keeps its own check on the same real-number test."""
 
 import math
 import re
@@ -14,7 +15,7 @@ from freeconv.errors import DomainError
 from freeconv.experiments import rate_experiment, support_experiment
 from freeconv.inversion import delta_eps, delta_tilde, recover
 from freeconv.measures import Measure, arcsine_cdf, semicircle_cdf
-from freeconv.sphere import WeightVector
+from freeconv.sphere import WeightVector, concentration_report
 from freeconv.subordination import SolveOptions
 
 _zero = lambda z: 0j
@@ -31,6 +32,10 @@ _ARGUMENTS = [
     ("max_iters", lambda v: SolveOptions(max_iters=v), 1),
     ("tol", lambda v: SolveOptions(tol=v), (0.0, math.inf)),
     ("eta", lambda v: recover(_semicircle_g, -1.0, 1.0, points=5, eta=v), (0.0, math.inf)),
+    ("x_min", lambda v: recover(_semicircle_g, v, 1.0, points=5, eta=1e-2),
+     (-math.inf, math.inf)),
+    ("x_max", lambda v: recover(_semicircle_g, -1.0, v, points=5, eta=1e-2),
+     (-math.inf, math.inf)),
     ("eps", lambda v: delta_eps(semicircle_cdf, arcsine_cdf, v), (0.0, 1.0)),
     ("a", lambda v: delta_tilde(_zero, _zero, a=v, eps=0.2, u_points=3), (0.0, 1.0)),
     ("eps", lambda v: delta_tilde(_zero, _zero, a=0.05, eps=v, u_points=3), (0.0, 1.0)),
@@ -40,7 +45,8 @@ _ARGUMENTS = [
      (0.0, math.inf)),
 ]
 _IDS = ["measure_cumulants", "moment", "recover-points", "delta_tilde-u_points",
-        "rate_experiment-reps", "max_iters", "tol", "recover-eta", "delta_eps-eps",
+        "rate_experiment-reps", "max_iters", "tol", "recover-eta", "recover-x_min",
+        "recover-x_max", "delta_eps-eps",
         "delta_tilde-a", "delta_tilde-eps", "binomial-p", "support_experiment-threshold"]
 
 
@@ -67,3 +73,12 @@ def test_numpy_scalars_are_accepted(name, call, rule):
         call(np.int64(max(rule, 3)))
     else:
         call(np.float64(0.5))
+
+
+@pytest.mark.parametrize("value", [True, "5", math.nan, math.inf, 3.99])
+def test_report_a_is_a_real_number_at_least_4(value):
+    """concentration_report's A is closed at 4, so it keeps its own check,
+    on the same real-number test: a bool or a string is no A."""
+    with pytest.raises(DomainError, match=f"^A must be finite and >= 4, got A={re.escape(repr(value))}"):
+        concentration_report(8, 1000, 0, A=value)
+    concentration_report(8, 1000, 0, A=np.float64(4.0))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,129 @@ def test_zero_row_in_a_batch_is_redrawn_on_its_stream(monkeypatch):
     monkeypatch.setattr(sphere, "_first_round", _zero_row(1))
     M = sample(6, 3, np.arange(3))
     assert M.tobytes() == np.stack([_stream_loop_row(6, 3, k) for k in range(3)]).tobytes()
+
+
+def _nan_row(seed, k):
+    """A _first_round that writes NaN into the row drawn on stream (seed, k),
+    found by its first double, in whichever process draws it."""
+    first_round = sphere._first_round
+    first = np.random.Generator(np.random.Philox(key=[seed, k])).random()
+
+    def nan_row(uv, out, *scratch):
+        rows = np.flatnonzero(uv[:, 0] == first)  # read before uv is mapped in place
+        short = first_round(uv, out, *scratch)
+        out[rows] = np.nan
+        return short
+
+    return nan_row
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 1000 rows per block at n <= 8: the counts are one block, five blocks, and
+# five and a half.  Three workers split 5000 rows as 2000, 2000 and 1000, and
+# 5500 rows as 2000, 2000 and 1500, so a child draws the partial last block.
+_SPLIT_BLOCK = 2 * 8 * 1000
+
+
+def _split_draws(count):
+    """sample_matrix, sample at an unordered index and concentration_report."""
+    idx = np.random.default_rng(count).permutation(count) - 7
+    return (sample_matrix(8, count, 3).tobytes(), sample(8, 5, idx).tobytes(),
+            repr(concentration_report(8, count, 4)))
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["plain", "zero-row"])
+@pytest.mark.parametrize("count", [1000, 5000, 5500])
+def test_draws_split_over_workers_keep_their_bytes(count, zero, monkeypatch):
+    """The bytes do not depend on the worker count.  With a zero row in
+    every block, each child redraws rows of its own slice."""
+    monkeypatch.setattr(sphere, "_BLOCK", _SPLIT_BLOCK)
+    monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: 1)
+    one = _split_draws(count)
+    if zero:
+        monkeypatch.setattr(sphere, "_first_round", _zero_row(1))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: workers)
+        assert _split_draws(count) == one
+        _no_child_left()
+
+
+def test_one_worker_draws_into_process_memory(monkeypatch):
+    """One worker is the plain draw: a np.empty output, no shared memory."""
+    monkeypatch.setattr(sphere, "_BLOCK", _SPLIT_BLOCK)
+    monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: 1)
+    assert sample_matrix(8, 5000, 0).base is None
+    monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: 2)
+    assert sample_matrix(8, 5000, 0).base is not None
+
+
+def test_a_draw_that_cannot_fork_draws_every_slice_itself(monkeypatch):
+    """A fork refused (say, at the process limit) costs the draw its
+    speed, not its bytes."""
+    monkeypatch.setattr(sphere, "_BLOCK", _SPLIT_BLOCK)
+    monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: 1)
+    one = _split_draws(5500)
+
+    def refuse():
+        raise BlockingIOError("Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: 3)
+    assert _split_draws(5500) == one
+
+
+# with two workers the parent draws rows [0, 3000) and a child [3000, 5000)
+@pytest.mark.parametrize("k", [100, 4321], ids=["parent-slice", "child-slice"])
+@pytest.mark.parametrize("draw", [
+    lambda: sample_matrix(8, 5000, 2), lambda: concentration_report(8, 5000, 2),
+], ids=["matrix", "report"])
+def test_a_failing_slice_raises_what_one_worker_raises(draw, k, monkeypatch):
+    """A row that fails the unit-norm check fails its slice: the parent
+    redraws a failed child's slice and raises one worker's error, and no
+    child outlives the call."""
+    monkeypatch.setattr(sphere, "_BLOCK", _SPLIT_BLOCK)
+    monkeypatch.setattr(sphere, "_first_round", _nan_row(2, k))
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sphere, "_draw_workers", lambda blocks: workers)
+        with pytest.raises(DomainError) as err:
+            draw()
+        messages.append(str(err.value))
+        _no_child_left()
+    assert messages == ["weight vector must lie on the unit sphere"] * 2
+
+
+@pytest.mark.parametrize("blocks, workers", [(0, 1), (1, 1), (3, 1), (5, 2), (7, 3),
+                                             (8, 4), (100, 4)])
+def test_draw_workers_take_the_free_cores_at_two_blocks_each(blocks, workers,
+                                                             monkeypatch):
+    """Four free cores, at most one worker per two blocks: a fork and wait
+    costs about a block."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert sphere._draw_workers(blocks) == workers
+
+
+def test_draw_keeps_one_worker_without_fork_or_beside_a_thread(monkeypatch):
+    """No fork where os.fork is missing or another Python thread is alive."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert sphere._draw_workers(8) == 4
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert sphere._draw_workers(8) == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert sphere._draw_workers(8) == 1
 
 
 @pytest.mark.parametrize("seed,idx", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv import subordination
+from freeconv import sphere, subordination
 from freeconv.complexfn import cauchy
 from freeconv.errors import DomainError, IterationError
 from freeconv.measures import Measure
@@ -592,7 +592,7 @@ def test_tile_threads_share_the_cores_with_blas(env, workers, monkeypatch):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert subordination._tile_workers() == workers
+    assert sphere._free_cores() == workers
 
 
 def _tile_spy(monkeypatch, before):
