@@ -34,13 +34,11 @@ faulted back in at the next.
 A draw of many blocks is split into block-aligned slices of rows, since
 no row's stream needs another's: the parent draws the first slice, and
 an os.fork()ed child each other, into shared memory that holds the
-result.  There are as many workers as cores left free by BLAS (the rule
-subordination's tile threads keep to), at most one per two blocks (a fork
-and wait costs about a block), and one unless os.fork exists and no other
-Python thread is alive; so under OpenBLAS's default of one thread per
-core, or for a draw of a few rows, nothing forks.  Threads would gain
-nothing: the rekey loop holds the GIL.  The bytes do not depend on the
-worker count, and no process outlives a call.
+result.  There is a worker per core, at most one per two blocks (a fork
+and wait costs about a block), and one unless /proc/self/task lists one
+thread, native ones (BLAS's) included.  Threads would gain nothing: the
+rekey loop holds the GIL.  The bytes do not depend on the worker count,
+and no process outlives a call.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from __future__ import annotations
 import math
 import os
 import reprlib
-import threading
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -207,27 +204,22 @@ def _blocks(n: int, seed: int, idx: np.ndarray, out: np.ndarray | None = None):
         yield lo, block
 
 
-def _free_cores() -> int:
-    """Workers for one step, for subordination's tile threads and the
-    sphere's draw processes alike: the cores this process may run on,
-    divided by the threads of one BLAS call, which OpenBLAS takes from the
-    first positive one of these variables, else one per core.  Its threads
-    spin between calls, so workers on top of them slow the work down."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    env = (os.environ.get(v, "") for v in
-           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas = next((int(v) for v in env if v.isdigit() and int(v) > 0), cores)
-    return max(1, cores // blas)
+# the cores this process may run on: a tile thread or a draw process each
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
-def _draw_workers(blocks: int) -> int:
-    """Processes for a draw of this many blocks: the free cores, but one
-    unless the process can fork with no other Python thread alive, and at
-    most one per two blocks, since a fork and wait costs about a block."""
-    if blocks < 4 or not hasattr(os, "fork") or threading.active_count() != 1:
+def _fork_cores() -> int:
+    """The cores a draw may fork onto: all while /proc/self/task lists one
+    thread, so a fork copies none (BLAS's included); else, or unread, one."""
+    try:
+        return _CORES if len(os.listdir("/proc/self/task")) == 1 else 1
+    except OSError:
         return 1
-    return min(_free_cores(), blocks // 2)
+
+
+def _draw_workers(blocks: int) -> int:  # the module docstring's rule
+    return 1 if blocks < 4 else min(_fork_cores(), blocks // 2)
 
 
 def _split_draw(n: int, rows: int, shape: tuple, draw) -> np.ndarray:

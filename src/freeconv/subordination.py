@@ -28,8 +28,8 @@ deduplicated by object identity, in C and with no Measure hashed, and
 what depends on the measures alone (the value dedupe, the start's mean
 and variance terms, the stacked atoms, poles and residues) is built once
 per distinct objects and slots and cached.
-A grid is solved in independent column tiles, run concurrently where
-BLAS leaves cores free (see solve_grid).  One floating-point rule holds
+A grid is solved in independent column tiles, one thread per core, and
+no step calls BLAS (see solve_grid).  One floating-point rule holds
 in every solve: inf and NaN are data, shown as the sweep or as an
 unconverged point, never as a warning or an exception (1/F' is not
 finite where F' = 0, as for the Bernoulli law at Z = i).  So solve_grid
@@ -71,7 +71,7 @@ import numpy as np
 from .complexfn import _semicircle_g
 from .errors import DomainError, IterationError, check_between, check_integer
 from .measures import Measure
-from .sphere import _free_cores, as_weights
+from .sphere import _CORES, as_weights
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ _TILE = 1 << 15  # coordinate-points per tile: a complex block of 512 KiB
 # which a one-point solve runs in Python complex arithmetic (_newton_point)
 _POINT_ATOMS = 32
 _NAN = complex(math.nan, math.nan)
-
-
-_WORKERS = _free_cores()  # threads for a multi-tile solve
+_WORKERS = _CORES  # threads for a multi-tile solve
 
 
 class GridSolution(NamedTuple):
@@ -276,6 +274,13 @@ def _semicircle_point(e):
     return kernel
 
 
+def _sum(c, X):  # sum_i c_i X[i], real c (None: all 1), calling no BLAS
+    if c is None:
+        return np.einsum("ij->j", X)
+    # one coordinate: its row times its count, 2-3x faster than einsum's
+    return X[0] * c[0] if len(c) == 1 else np.einsum("i,ij->j", c, X)
+
+
 def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     """Newton steps on one tile until every point converges or max_iters;
     writes Z and the per-point outputs in place as points retire.  Converged
@@ -288,8 +293,8 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     with np.errstate(all="ignore"):
         for step in range(opts.max_iters + 1):
             F, inv = evaluate(Zw)
-            w = c @ F / n
-            s = c @ Zw
+            w = _sum(c, F) / n
+            s = _sum(c, Zw)
             sz = s - zw
             rw = np.maximum(np.abs(F - F[0]).max(axis=0),
                             np.abs(sz - (n - 1) * F[0]))
@@ -309,7 +314,7 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
             r = sz - (n - 1) * w
             e = F - w
             e *= inv  # e_i/F_i'
-            dw = (c @ e - r) / (c @ inv - (n - 1))  # Schur complement
+            dw = (_sum(c, e) - r) / (_sum(c, inv) - (n - 1))  # Schur complement
             Zn = np.multiply(dw, inv, out=inv)  # Z_i + (dw - e_i)/F_i'
             Zn -= e
             Zn += Zw
@@ -317,7 +322,7 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
             if not ok.all():
                 bad = ~ok
                 delta = F[:, bad] - Zw[:, bad]  # Im(F_j(v) - v) >= 0
-                sweep = zw[bad] + c @ delta - delta
+                sweep = zw[bad] + _sum(c, delta) - delta
                 # rounding guard: the sweep keeps Im Z_i >= Im z exactly in theory
                 sweep.imag = np.maximum(sweep.imag, zw[bad].imag)
                 Zn[:, bad] = sweep
@@ -327,16 +332,16 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
 
 def _newton_point(kernels, c, n, z, opts, Z):
     """_newton at one point in Python complex arithmetic, on lists of the
-    coordinates' Z and multiplicities c (complex), with the kernels of
-    _make_evaluator: the same residual, rounding floor, Schur-complement
-    step, sweep and Im clamp, in _newton's order of operations.  Returns the
-    point's Z, F_1, residual, tolerance and steps."""
-    mul = operator.mul
+    coordinates' Z and multiplicities c (real, None when all are 1), with
+    the kernels of _make_evaluator: the same residual, rounding floor,
+    Schur-complement step, sweep and Im clamp, in _newton's order of
+    operations.  Returns the point's Z, F_1, residual, tolerance and steps."""
+    total = sum if c is None else (lambda v: sum(map(operator.mul, c, v)))
     for step in range(opts.max_iters + 1):
         F, inv = zip(*[f(x) for f, x in zip(kernels, Z)])
         F0 = F[0]
-        w = sum(map(mul, c, F)) / n
-        s = sum(map(mul, c, Z))
+        w = total(F) / n
+        s = total(Z)
         sz = s - z
         rw = max(max([abs(f - F0) for f in F]), abs(sz - (n - 1) * F0))
         tw = max(opts.tol, _ROUNDING * (abs(z) + abs(s) + (n - 1) * abs(w)))
@@ -344,13 +349,13 @@ def _newton_point(kernels, c, n, z, opts, Z):
             return Z, F0, rw, tw, step
         r = sz - (n - 1) * w
         e = [(f - w) * d for f, d in zip(F, inv)]
-        dw = _quot(sum(map(mul, c, e)) - r, sum(map(mul, c, inv)) - (n - 1))
+        dw = _quot(total(e) - r, total(inv) - (n - 1))
         Zn = [dw * d - ei + x for d, ei, x in zip(inv, e, Z)]
         if not all(cmath.isfinite(x) and x.imag >= z.imag for x in Zn):
             delta = [f - x for f, x in zip(F, Z)]
-            total = z + sum(map(mul, c, delta))
+            swept = z + total(delta)
             Zn = [complex(t.real, max(t.imag, z.imag))
-                  for t in (total - d for d in delta)]
+                  for t in (swept - d for d in delta)]
         Z = Zn
 
 
@@ -374,12 +379,12 @@ def _setup(objects, slots):
     (measures[i] is objects[slots[i]]).  The key holds the objects, not
     their ids, which are reused once an object is freed; equal but
     distinct objects make an equal key.  Returns each measure's
-    coordinate, in first-occurrence order of the values (None if none
-    collapsed), complex multiplicities (as matmul casts them), the
-    (F, 1/F') evaluator with its atomic coordinates' poles and residues,
-    the one-point kernels built from the same poles and residues (None
-    above _POINT_ATOMS coordinate-atoms), and the free-CLT start's terms (m, v summed over the multiplicities;
-    Im _semicircle_g <= 0 exactly, so Im Z_i >= Im z needs no clamp; v = 0
+    coordinate, in first-occurrence order of the values, the real
+    multiplicities (None if none collapsed), the (F, 1/F') evaluator with
+    its atomic coordinates' poles and residues and the one-point kernels
+    built from them (None above _POINT_ATOMS coordinate-atoms), and the
+    free-CLT start's terms (m, v summed over the multiplicities; Im
+    _semicircle_g <= 0 exactly, so Im Z_i >= Im z needs no clamp; v = 0
     needs no branch: v - v_i = 0)."""
     index = {}  # the value dedupe: Measure is frozen, so hashable
     coord = [index.setdefault(mu, len(index)) for mu in objects]
@@ -388,9 +393,9 @@ def _setup(objects, slots):
     mi = np.array([mu.mean for mu in coords])
     # moment(2) - mean^2 can round below 0 for atoms far from the origin
     vi = np.array([max(mu.var, 0.0) for mu in coords])
-    mean, var = float(np.dot(counts, mi)), float(np.dot(counts, vi))
-    return (expand if len(coords) < len(slots) else None,
-            counts.astype(complex), *_make_evaluator(coords),
+    c = None if len(coords) == len(slots) else counts.astype(float)
+    mean, var = _sum(c, np.stack([mi, vi], axis=1)).tolist()
+    return (expand, c, *_make_evaluator(coords),
             ((vi - var)[:, None], mean, var, (mean - mi)[:, None]))
 
 
@@ -420,12 +425,13 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block): the Newton
     temporaries stay in cache, and memory beyond the returned Z is a few
-    tiles, whatever the grid size.  The tiles of a multi-tile call run on
-    up to _WORKERS threads, started for the call and joined before it
-    returns (so a fork finds none); a tile's exception is raised here.  The
-    bytes do not depend on the number of threads, but they do depend on
-    the BLAS thread count: a sum such as c @ F split across BLAS threads
-    rounds differently.
+    tiles, whatever the grid size.  A free-CLT start is points-major
+    (Fortran order) where the coordinates outnumber a tile's points, so the
+    loops run along the longer axis; a column mask returns that order, so
+    such a tile keeps it as its points retire.  The tiles run on up to
+    _WORKERS threads, joined before the call returns (so a fork finds
+    none); a tile's exception is raised here.  No step calls BLAS (_sum),
+    so no thread count moves a byte.
     """
     measures = tuple(measures)
     n = len(measures)
@@ -449,7 +455,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
             expand, c, evaluate, kernels, (scale, mean, var, shift) = _setup(
                 *by_identity(measures))
         else:
-            expand, c, kernels = None, np.ones(n, complex), None
+            c = kernels = None
             evaluate = _make_evaluator(measures)[0]
         F0 = np.empty(m, dtype=complex)
         res = np.empty(m)
@@ -461,14 +467,15 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
             Z = [s * g + z - t for s, t in zip(scale[:, 0].tolist(),
                                                shift[:, 0].tolist())]
             Z, F0[0], res[0], tol[0], iterations[0] = _newton_point(
-                kernels, c.tolist(), n, z, opts, Z)
+                kernels, None if c is None else c.tolist(), n, z, opts, Z)
             Z = np.array(Z).reshape(-1, 1)
         else:
             if init is None:  # free-CLT start
-                Z = np.multiply(scale, _semicircle_g(zs - mean, var))
+                Z = np.multiply(scale, _semicircle_g(zs - mean, var),
+                                order="F" if len(scale) ** 2 > _TILE else "C")
                 Z += zs
                 Z -= shift
-            width = max(1, _TILE // c.size)
+            width = max(1, _TILE // len(Z))
             tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
 
             def run(t):
@@ -482,8 +489,8 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
                 from concurrent.futures import ThreadPoolExecutor
                 with ThreadPoolExecutor(workers) as pool:
                     list(pool.map(run, tiles))
-        if expand is not None:  # one coordinate: a view of its row, no n x m copy
-            Z = np.broadcast_to(Z, (n, m)) if c.size == 1 else Z[expand]
+        if c is not None:  # collapsed; one coordinate: a view of its row, no copy
+            Z = np.broadcast_to(Z, (n, m)) if len(Z) == 1 else Z[expand]
         Z.flags.writeable = False
         return GridSolution(Z, F0, 1.0 / F0, res, iterations, res <= tol)
 

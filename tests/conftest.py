@@ -1,9 +1,11 @@
 """Run the suite with single-threaded BLAS and OpenMP, as the benchmark does.
 
-OpenBLAS splits the columns of a matrix-vector product across its threads,
-and a split column rounds differently, so pinned solver digests depend on
-the BLAS thread count.  The variables are read when numpy first loads, so
-they are set here, before any test module imports it.
+The solver makes no BLAS call, but other code does: cumulants._powers
+builds its power table by matrix products, and OpenBLAS may split such a
+product across its threads, where a split rounds differently.  So pinned
+digests outside the solver could depend on the BLAS thread count.  The
+variables are read when numpy first loads, so they are set here, before
+any test module imports it.
 """
 
 import os

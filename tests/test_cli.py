@@ -418,7 +418,7 @@ GOLDEN = [
      "distance --a mu.json --b semicircle"),
     ("5f6489f59141ac1b2b86edad2687fa844b904055b9eab897fbe4914b82041d84",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("940c0b3b21f0a924bcae03a23345986cbd4e7d15c0bc6f95bbe36ccecb17e535",
+    ("a2cf985aaee5e841be4b31da270b114994ad5d16543ac04c69dcb97f91d1bbd6",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("25dc347ba41c09d8f2f5d299df4341888de6f50886f2c6ac34a5fbc216aeb306",
@@ -426,7 +426,7 @@ GOLDEN = [
     ("e384d84d81fc9674e0f80417469ae001ae93469b27a52cad5b0285aad2df4e09",
      "support --preset bernoulli --n 16 --points 201 --weights random "
      "--seed 3"),
-    ("e6c746dccff75cc7d6faa94797fd05f78b7a41d52444878469bbfd88b15cab7d",
+    ("9d1c7e9422808e2eacfdb8801b1f4b01ea961a32e3960423b848131345fc5ed9",
      "residuals --preset bernoulli --n 4 --grid-points 9"),
     ("adbef229716af3b40848243c3c6bdf486cdfcdf16244240390a5a0036542a0db",
      "residuals --preset bernoulli --n 4 --grid-points 9 --weights uniform"),

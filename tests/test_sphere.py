@@ -1,3 +1,4 @@
+import faulthandler
 import hashlib
 import json
 import math
@@ -225,20 +226,24 @@ def test_a_failing_slice_raises_what_one_worker_raises(draw, k, monkeypatch):
                                              (8, 4), (100, 4)])
 def test_draw_workers_take_the_free_cores_at_two_blocks_each(blocks, workers,
                                                              monkeypatch):
-    """Four free cores, at most one worker per two blocks: a fork and wait
-    costs about a block."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """Four cores to fork onto, at most one worker per two blocks: a fork
+    and wait costs about a block."""
+    monkeypatch.setattr(sphere, "_fork_cores", lambda: 4)
     assert sphere._draw_workers(blocks) == workers
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the threads Linux lists")
 def test_draw_keeps_one_worker_without_fork_or_beside_a_thread(monkeypatch):
-    """No fork where os.fork is missing or another Python thread is alive."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert sphere._draw_workers(8) == 4
+    """A new process with BLAS on one thread forks onto every core; beside
+    another Python thread, or where /proc/self/task cannot be read (no
+    procfs, so no fork either), a draw keeps one worker."""
+    env = dict(os.environ, PYTHONPATH=str(Path(freeconv.__file__).parents[1]))
+    code = "from freeconv import sphere; print(sphere._fork_cores() == sphere._CORES)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "True"
+    monkeypatch.setattr(sphere, "_CORES", 4)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -247,8 +252,25 @@ def test_draw_keeps_one_worker_without_fork_or_beside_a_thread(monkeypatch):
     finally:
         release.set()
         thread.join()
-    monkeypatch.delattr(os, "fork")
+
+    def unreadable(path):
+        raise FileNotFoundError(path)
+    monkeypatch.setattr(os, "listdir", unreadable)
     assert sphere._draw_workers(8) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the threads Linux lists")
+def test_draw_keeps_one_worker_beside_a_native_thread():
+    """faulthandler's watchdog is a native thread, as BLAS's are: the
+    threading module does not count it, but a fork would copy the process
+    beside it, so a draw keeps one worker on any number of cores."""
+    faulthandler.dump_traceback_later(60)
+    try:
+        assert threading.active_count() == 1
+        assert sphere._draw_workers(8) == 1
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.mark.parametrize("seed,idx", [
