@@ -53,17 +53,18 @@ def cubic_roots(b: complex, c: complex, d: complex) -> tuple[complex, complex, c
 def fit_loglog_slope(ns, values, errors=None) -> tuple[float, float]:
     """Weighted least squares of log(value) on log(n); returns (slope, R^2).
 
-    Rows with nonpositive values are skipped with a warning.  Weights are
-    1/error^2 when error estimates are supplied.
+    Rows whose values are not finite or not positive are skipped with one
+    warning.  Weights are 1/error^2 when error estimates are supplied.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    keep = values > 0.0
-    if np.any(~keep):
-        warnings.warn("skipping rows with nonpositive distances in slope fit")
+    keep = np.isfinite(values) & (values > 0.0)
+    if not keep.all():
+        warnings.warn("skipping rows with non-finite or nonpositive distances "
+                      "in slope fit")
     ns, values = ns[keep], values[keep]
     if ns.size < 3:
-        raise DomainError("need at least 3 positive rows for a slope fit")
+        raise DomainError("need at least 3 finite positive rows for a slope fit")
     if np.unique(ns).size < 2:
         raise DomainError("slope fit needs at least two distinct n values")
     w = np.ones_like(values)

@@ -371,8 +371,13 @@ def _chi2_sf(k: int, x: float) -> float:
 
 
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
-    """Chi-squared goodness of fit of sqrt(n) theta_1 against its density."""
+    """Chi-squared goodness of fit of sqrt(n) theta_1 against its density;
+    samples is a 2-D array of n columns, one draw per row."""
     check_integer("n", n, 2)
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or samples.shape[1] != n:
+        raise DomainError(f"samples must be a 2-D array with n = {n} columns, "
+                          f"got shape {samples.shape}")
     x = math.sqrt(n) * samples[:, 0]
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)

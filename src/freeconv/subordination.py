@@ -425,10 +425,10 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     Points are independent, so the columns are solved in tiles of about
     2^15 coordinate-points (512 KiB per complex block): the Newton
     temporaries stay in cache, and memory beyond the returned Z is a few
-    tiles, whatever the grid size.  A free-CLT start is points-major
-    (Fortran order) where the coordinates outnumber a tile's points, so the
-    loops run along the longer axis; a column mask returns that order, so
-    such a tile keeps it as its points retire.  The tiles run on up to
+    tiles, whatever the grid size.  Every start, free-CLT or init, is
+    points-major (Fortran order), which _newton's column mask keeps as
+    points retire, so a point's bytes do not depend on its tile-mates when
+    the summands are all atomic or all semicircles.  The tiles run on up to
     _WORKERS threads, joined before the call returns (so a fork finds
     none); a tile's exception is raised here.  No step calls BLAS (_sum),
     so no thread count moves a byte.
@@ -445,7 +445,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     m = zs.shape[0]
 
     if init is not None:
-        Z = np.array(init, dtype=complex)
+        Z = np.array(init, dtype=complex, order="F")
         if Z.shape != (n, m) or not (np.isfinite(Z) & (Z.imag >= zs.imag)).all():
             raise DomainError(f"init must be finite, of shape ({n}, {m}), "
                               "with Im Z_i >= Im z")
@@ -471,8 +471,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
             Z = np.array(Z).reshape(-1, 1)
         else:
             if init is None:  # free-CLT start
-                Z = np.multiply(scale, _semicircle_g(zs - mean, var),
-                                order="F" if len(scale) ** 2 > _TILE else "C")
+                Z = np.multiply(scale, _semicircle_g(zs - mean, var), order="F")
                 Z += zs
                 Z -= shift
             width = max(1, _TILE // len(Z))

@@ -418,7 +418,7 @@ GOLDEN = [
      "distance --a mu.json --b semicircle"),
     ("5f6489f59141ac1b2b86edad2687fa844b904055b9eab897fbe4914b82041d84",
      "rates --preset bernoulli --n 4,8 --points 201"),
-    ("a2cf985aaee5e841be4b31da270b114994ad5d16543ac04c69dcb97f91d1bbd6",
+    ("3d71a0ef4cf45bd45b79b8de3952e6b5b3f92e9939d62dedd135b062a03d5219",
      "rates --preset bernoulli --n 4,8 --points 201 --weights random "
      "--metric delta,levy --reps 2 --seed 3"),
     ("25dc347ba41c09d8f2f5d299df4341888de6f50886f2c6ac34a5fbc216aeb306",

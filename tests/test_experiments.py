@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ def test_fit_loglog_slope_skips_nonpositive():
     assert math.isfinite(slope)
     with pytest.raises(DomainError):
         fit_loglog_slope([2, 4], [1.0, 0.5])
+
+
+def test_fit_loglog_slope_skips_non_finite_rows_with_one_warning():
+    """inf and NaN rows are dropped by the same mask as nonpositive ones:
+    the fit is that of the other rows, with no RuntimeWarning."""
+    ns, vals = [4, 8, 16, 32, 64, 128], [0.5, math.inf, 0.25, math.nan, 0.125, 0.0]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        fit = fit_loglog_slope(ns, vals)
+    assert [str(w.message) for w in seen] == [
+        "skipping rows with non-finite or nonpositive distances in slope fit"]
+    assert fit == fit_loglog_slope([4, 16, 64], [0.5, 0.25, 0.125])
+    with pytest.warns(UserWarning), pytest.raises(DomainError,
+                                                  match="at least 3 finite positive rows"):
+        fit_loglog_slope([16, 64, 256], [1e-2, math.inf, 1e-3])
 
 
 @pytest.mark.parametrize("rows, seed", [(3, 0), (4, 1), (5, 2), (7, 3)])

@@ -512,11 +512,17 @@ def test_marginal_density_normalizes():
 @pytest.mark.parametrize("n", [1, 2.5, True], ids=["one", "float", "bool"])
 def test_marginal_density_and_chi2_check_n(n):
     """The sphere dimension is an integer >= 2: n = 1 would reach
-    lgamma(0), and n = 2.5 names no sphere."""
+    lgamma(0), and n = 2.5 names no sphere.  The samples are a 2-D array
+    of n columns: a 1-D array, or draws from another sphere, would test
+    the wrong law."""
     with pytest.raises(DomainError, match="^n must be an integer >= 2"):
         marginal_density(n, 0.0)
     with pytest.raises(DomainError, match="^n must be an integer >= 2"):
         marginal_chi2_pvalue(n, sample_matrix(8, 1000, 0))
+    for samples in (np.zeros(64), sample_matrix(32, 100, 0), np.zeros((1, 2, 64))):
+        with pytest.raises(DomainError, match="^samples must be a 2-D array "
+                           "with n = 64 columns"):
+            marginal_chi2_pvalue(64, samples)
 
 
 def test_marginal_density_and_chi2_take_a_numpy_integer():

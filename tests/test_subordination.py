@@ -544,9 +544,9 @@ _MIXED = [Measure.bernoulli().scale(0.5), Measure.binomial(0.2).scale(-0.7),
 
 @pytest.mark.parametrize("ms, m, digest", [
     (_random_sum(4), 201, "4f9c508ef9d1a1cc4e36811a8d855e6944c42511a0d700e2d02cd26be6541313"),
-    (_random_sum(8), 201, "b7fedaa9cfa67195aaafed35e1ef3dda3f4eae43f445b89faf13c25d8fa5d826"),
-    (_random_sum(16), 2001, "fe028c40a9c3d344eddb0618c432bf8b40c6b9bb327ae33b91240110755c720f"),
-    (_random_sum(64), 500, "efa04d73c453b0ed4882a15b3cf206a6c403488bca9bde3c34cf25607b46b56a"),
+    (_random_sum(8), 201, "e2b3bbb47cd89b82da70ba2f022527b551628d1026b7a5bed7db385fb427412a"),
+    (_random_sum(16), 2001, "1ea60821d01302228d91714fabe4dc8d276c7ce95e94e5280af0cf83ca1c805c"),
+    (_random_sum(64), 500, "2d192bde7b0bb00d6ffbb7e04c1ad1cc1d818db9768fe487163aa8a36c0531f1"),
     (_MIXED, 401, "5ce5d1e324acad82bcceb966ee3a36e1d05cf9320fd82e0675ebf9432b8e57ef"),
 ], ids=["n4", "n8", "n16", "n64", "mixed"])
 def test_single_tile_solve_bytes_are_pinned(ms, m, digest):
@@ -607,19 +607,39 @@ def test_solve_bytes_do_not_depend_on_the_blas_threads():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("ms", [_random_sum(256), weighted_summands(
-    Measure.bernoulli(), np.repeat(sample(200, 0, 0).theta, 4) / 2)],
-    ids=["distinct", "partial-collapse"])
-def test_a_points_bytes_do_not_depend_on_the_other_points(ms):
-    """With more coordinates than a tile has points, the start is
-    points-major and a column mask keeps it so: every sum and step runs
-    along a point's own column, so a point solved alone, or among any
-    other points in any order, gets the bytes it gets in the whole grid."""
+_TEN = sample(10, 0, 0).theta
+
+
+@pytest.mark.parametrize("ms, at_z", [
+    (_random_sum(17), False),
+    (_random_sum(64), False),
+    (_random_sum(256), False),
+    ([Measure.bernoulli().scale(t) for t in _TEN[:5]]
+     + [Measure.binomial(0.25).scale(t) for t in _TEN[5:]], False),
+    ([Measure.semicircle(v) for v in np.linspace(0.01, 0.1, 20)], False),
+    (weighted_summands(Measure.bernoulli(), np.repeat(sample(8, 0, 0).theta, 4) / 2),
+     False),
+    (weighted_summands(Measure.bernoulli(), np.repeat(sample(200, 0, 0).theta, 4) / 2),
+     False),
+    (_random_sum(64), True),
+], ids=["distinct-17", "distinct-64", "distinct", "two-and-three-atoms",
+        "semicircles", "small-partial-collapse", "partial-collapse", "init-64"])
+def test_a_points_bytes_do_not_depend_on_the_other_points(ms, at_z):
+    """Every start, free-CLT or init (at_z: Z_i = z), is points-major and a
+    column mask keeps it so: every sum and step runs along a point's own
+    column, so a point solved alone, or among any other points in any
+    order, gets the bytes it gets in the whole grid.  One point of a
+    system of at most _POINT_ATOMS coordinate-atoms runs in Python
+    arithmetic (_newton_point), so there it is not solved alone."""
     zs = np.linspace(-3, 3, 601) + 1e-3j
-    full = solve_grid(ms, zs)
+    init = np.tile(zs, (len(ms), 1)) if at_z else None
+    full = solve_grid(ms, zs, init=init)
+    atoms = sum(len(mu.atoms) if mu.kind == "atomic" else 1 for mu in set(ms))
+    singles = [[0], [377]] if at_z or atoms > _POINT_ATOMS else []
     rng = np.random.default_rng(0)
-    for pick in ([0], [377], rng.choice(zs.size, 50, replace=False)):
-        part = solve_grid(ms, zs[pick])
+    picks = [rng.choice(zs.size, size, replace=False) for size in (2, 2, 2, 2, 50)]
+    for pick in singles + picks:
+        part = solve_grid(ms, zs[pick], init=init[:, pick] if at_z else None)
         for a, b in zip(full, part):
             assert np.array_equal(a[..., pick], b)
 
