@@ -370,6 +370,17 @@ def _chi2_sf(k: int, x: float) -> float:
     return q
 
 
+def _marginal_cdf(n: int, t: np.ndarray) -> np.ndarray:
+    """P(theta_1 <= t) on the sphere in R^n, exact: from the arcsine CDF
+    1/2 + arcsin(t)/pi (even n) or the uniform (1 + t)/2 (odd n) by
+    F_k(t) = F_{k-2}(t) + t g_k(t)/(k - 2), where g_k(t) = sqrt(k)
+    marginal_density(k, sqrt(k) t) is theta_1's density."""
+    cdf = 0.5 + np.arcsin(t) / math.pi if n % 2 == 0 else 0.5 * (1.0 + t)
+    for k in range(4 + n % 2, n + 1, 2):
+        cdf += t * math.sqrt(k) * marginal_density(k, math.sqrt(k) * t) / (k - 2)
+    return cdf
+
+
 def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     """Chi-squared goodness of fit of sqrt(n) theta_1 against its density;
     samples is a 2-D array of n columns, one draw per row."""
@@ -382,14 +393,7 @@ def marginal_chi2_pvalue(n: int, samples: np.ndarray) -> float:
     lim = min(math.sqrt(n), 6.0)
     edges = np.linspace(-lim, lim, _CHI2_BINS + 1)
     counts, _ = np.histogram(x, bins=edges)
-    if n == 2:  # the arcsine law: no trapezoid integrates its 1/sqrt edges
-        probs = 0.5 + np.arcsin(edges / math.sqrt(2.0)) / math.pi
-    else:
-        fine = np.linspace(edges[0], edges[-1], _CHI2_BINS * 50 + 1)
-        dens = marginal_density(n, fine)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))])
-        probs = np.interp(edges, fine, cdf)
-    probs = np.diff(probs)
+    probs = np.diff(_marginal_cdf(n, edges / math.sqrt(n)))
     probs = probs / probs.sum()
     expected = probs * counts.sum()
     # pool sparse tail bins so the chi-squared approximation is valid

@@ -46,7 +46,8 @@ some 70 numpy calls on one-element arrays, whose dispatch costs far more
 than the arithmetic.  Both take the same start, kernels, step, sweep, Im
 clamp and stop test, in the same order of operations.  At the points
 the tests sample they differ only in rounding (numpy's complex product
-may fuse a multiply-add, and its quotient scales by a reciprocal), so a
+of two or more elements fuses a multiply-add where the CPU has one, while
+Python's does not, and numpy's quotient scales by a reciprocal), so a
 stop test that lands within rounding of its tolerance can end one a step
 before the other; ROADMAP item 13 names a point where they part.  The
 bound sits below the crossover, measured on one-point solves of distinct
@@ -286,8 +287,18 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
     writes Z and the per-point outputs in place as points retire.  Converged
     points leave the working set, so late steps only touch the stragglers.
     evaluate gives (F, 1/F'), so a step divides only by the Schur
-    complement; the new Z is built in the 1/F' block."""
+    complement; the new Z is built in the 1/F' block.
+
+    The working set never holds one point alone: numpy multiplies a
+    one-element complex array in place by its scalar loop, and longer ones
+    by a fused multiply-add loop that rounds differently, and from about
+    9000 coordinates einsum sums a lone column in another order than a
+    column beside others.  A lone point is carried twice (a duplicated
+    column), so its bytes are its own."""
     idx, Zw, zw = np.arange(zs.shape[0]), Z, zs
+    if idx.size == 1:
+        idx = idx.repeat(2)
+        Zw, zw = Z[:, idx], zs[idx]
 
     # the module docstring's rule: a worker thread starts from numpy's defaults
     with np.errstate(all="ignore"):
@@ -307,6 +318,8 @@ def _newton(evaluate, c, n, zs, opts, Z, F0, res, tol, iterations):
                     Zw[:, done], F[0, done], rw[done], tw[done], step)
                 if out.size == idx.size:  # every point retired
                     return
+                if np.count_nonzero(live) == 1:  # the last live point, twice
+                    live = np.flatnonzero(live).repeat(2)
                 idx, zw, Zw = idx[live], zw[live], Zw[:, live]
                 w, sz = w[live], sz[live]
                 F = F[:, live]  # one block at a time, so the old one goes first
@@ -423,12 +436,14 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
     Any other call, every call with init too, runs _newton.
 
     Points are independent, so the columns are solved in tiles of about
-    2^15 coordinate-points (512 KiB per complex block): the Newton
-    temporaries stay in cache, and memory beyond the returned Z is a few
-    tiles, whatever the grid size.  Every start, free-CLT or init, is
+    2^15 coordinate-points (512 KiB per complex block), and of at least
+    two points, which _newton would carry anyway: the Newton temporaries
+    stay in cache, and memory beyond the returned Z is a few tiles,
+    whatever the grid size.  Every start, free-CLT or init, is
     points-major (Fortran order), which _newton's column mask keeps as
-    points retire, so a point's bytes do not depend on its tile-mates when
-    the summands are all atomic or all semicircles.  The tiles run on up to
+    points retire, and _newton carries a lone point twice, so a point's
+    bytes do not depend on the other points of its call, whatever the
+    summands (a one-point solve by _newton_point aside).  The tiles run on up to
     _WORKERS threads, joined before the call returns (so a fork finds
     none); a tile's exception is raised here.  No step calls BLAS (_sum),
     so no thread count moves a byte.
@@ -474,7 +489,7 @@ def solve_grid(measures, zs, opts: SolveOptions = DEFAULT_OPTIONS,
                 Z = np.multiply(scale, _semicircle_g(zs - mean, var), order="F")
                 Z += zs
                 Z -= shift
-            width = max(1, _TILE // len(Z))
+            width = max(2, _TILE // len(Z))
             tiles = [slice(lo, lo + width) for lo in range(0, m, width)]
 
             def run(t):

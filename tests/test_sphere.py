@@ -559,7 +559,7 @@ def test_marginal_chi2_with_no_pooled_bin_matches_scipy():
     """At n = 4 with 2000 rows every bin expects 5 or more (13.3 at the
     fewest), so no bin is pooled and the empty pool is dropped: the p-value
     is scipy's chisquare on the 40 bins, with counts expected from the
-    n = 4 marginal, the semicircle law (within the trapezoid's error)."""
+    n = 4 marginal, the semicircle law, to rounding: the bins are exact."""
     from scipy.stats import chisquare
     samples = sample_matrix(4, 2000, seed=0)
     edges = np.linspace(-2.0, 2.0, 41)
@@ -567,7 +567,14 @@ def test_marginal_chi2_with_no_pooled_bin_matches_scipy():
     exp = 2000 * np.diff(semicircle_cdf(edges))
     assert exp.min() >= 5.0
     assert marginal_chi2_pvalue(4, samples) == pytest.approx(
-        chisquare(obs, exp).pvalue, rel=1e-2)
+        chisquare(obs, exp).pvalue, rel=1e-12)
+
+
+def test_marginal_cdf_matches_a_high_precision_quadrature():
+    """The exact CDF of sqrt(n) theta_1 at n = 64, x = 1.3, against
+    mpmath's quadrature of the density at 30 digits."""
+    got = sphere._marginal_cdf(64, np.array([1.3 / 8.0]))[0]
+    assert got == pytest.approx(0.90204839538509914, rel=0.0, abs=1e-15)
 
 
 def test_chi2_tail_matches_scipy():

@@ -607,7 +607,12 @@ def test_solve_bytes_do_not_depend_on_the_blas_threads():
     assert len(digests) == 1
 
 
+def _mixed_pair():
+    return [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)]
+
+
 _TEN = sample(10, 0, 0).theta
+_ONE_LAW = Measure.atomic([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3])
 
 
 @pytest.mark.parametrize("ms, at_z", [
@@ -622,15 +627,24 @@ _TEN = sample(10, 0, 0).theta
     (weighted_summands(Measure.bernoulli(), np.repeat(sample(200, 0, 0).theta, 4) / 2),
      False),
     (_random_sum(64), True),
+    ([Measure.binomial(0.25).scale(0.125)] * 64, False),
+    ([Measure.bernoulli().scale(0.25)] * 16, False),
+    (_mixed_pair(), False),
+    ([_ONE_LAW], True),
 ], ids=["distinct-17", "distinct-64", "distinct", "two-and-three-atoms",
-        "semicircles", "small-partial-collapse", "partial-collapse", "init-64"])
+        "semicircles", "small-partial-collapse", "partial-collapse", "init-64",
+        "binomial-collapse", "bernoulli-collapse", "mixed-pair", "one-law-init"])
 def test_a_points_bytes_do_not_depend_on_the_other_points(ms, at_z):
     """Every start, free-CLT or init (at_z: Z_i = z), is points-major and a
     column mask keeps it so: every sum and step runs along a point's own
-    column, so a point solved alone, or among any other points in any
-    order, gets the bytes it gets in the whole grid.  One point of a
-    system of at most _POINT_ATOMS coordinate-atoms runs in Python
-    arithmetic (_newton_point), so there it is not solved alone."""
+    column.  No working set holds one point, whose in-place complex
+    products numpy rounds by another loop: a collapsed system's last
+    straggler, the one-row blocks of a mixed system's kinds and a one-point
+    init solve all carry the point twice.  So a point solved alone, or
+    among any other points in any order, gets the bytes it gets in the
+    whole grid.  One point of a system of at most _POINT_ATOMS
+    coordinate-atoms runs in Python arithmetic (_newton_point), so there
+    it is not solved alone."""
     zs = np.linspace(-3, 3, 601) + 1e-3j
     init = np.tile(zs, (len(ms), 1)) if at_z else None
     full = solve_grid(ms, zs, init=init)
@@ -640,6 +654,19 @@ def test_a_points_bytes_do_not_depend_on_the_other_points(ms, at_z):
     picks = [rng.choice(zs.size, size, replace=False) for size in (2, 2, 2, 2, 50)]
     for pick in singles + picks:
         part = solve_grid(ms, zs[pick], init=init[:, pick] if at_z else None)
+        for a, b in zip(full, part):
+            assert np.array_equal(a[..., pick], b)
+
+
+def test_lone_points_of_a_wide_system_do_not_depend_on_their_call():
+    """From about 9000 rows numpy's einsum sums a lone column in another
+    order than a column beside others, so a one-point block would move a
+    point's bytes there too: _newton carries a lone point twice."""
+    ms = _random_sum(9000)
+    zs = np.linspace(-2, 2, 9) + 1e-2j
+    full = solve_grid(ms, zs)
+    for pick in ([0], [4], [7], [2, 6]):
+        part = solve_grid(ms, zs[pick])
         for a, b in zip(full, part):
             assert np.array_equal(a[..., pick], b)
 
@@ -749,10 +776,6 @@ def test_forked_child_finishes_a_multi_tile_solve(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def _mixed_pair():
-    return [Measure.bernoulli().scale(0.6), Measure.semicircle(0.64)]
-
-
 def test_equal_measures_share_a_setup_and_the_bytes():
     """Equal but distinct Measure objects hit the same cached setup and
     give the same bytes as the first call."""
@@ -828,13 +851,13 @@ def test_scalar_solve_step_count_on_strip_nodes():
 
 
 def _same_point(one, two):
-    """A one-point solve (column 0 of one) and the same point solved as
-    column 0 of a two-point grid (two), which runs the array loop: the
-    same flags and steps, and G within 1e-13 (relative where |G| > 1, as
-    near an atom at small Im z).  The paths round differently, so the
-    steps can differ where the stop test is decided by rounding: then by
-    one, and the earlier stop's residual lies within 10% of its tolerance
-    (about 1 in 1,500 random points)."""
+    """A one-point solve in Python arithmetic (column 0 of one) and the
+    same point solved as column 0 of a two-point grid (two), which runs
+    the array loop: the same flags and steps, and G within 1e-13
+    (relative where |G| > 1, as near an atom at small Im z).  The paths
+    round differently, so the steps can differ where the stop test is
+    decided by rounding: then by one, and the earlier stop's residual
+    lies within 10% of its tolerance (about 1 in 1,500 random points)."""
     assert one.converged[0] == two.converged[0]
     steps = (one.iterations[0], two.iterations[0])
     if steps[0] != steps[1]:
@@ -866,15 +889,20 @@ def test_one_point_matches_its_grid_column(laws, picks, x, e):
 
 
 def test_one_point_init_matches_its_grid_column():
-    """An init warm start, and an init Z_i = i of two Bernoulli summands,
-    where F'(i) = 0: the Newton step divides by zero, gives no exception
-    and no RuntimeWarning, and the sweep takes the step, at one point and
-    at two."""
+    """Every init solve runs _newton, which carries a lone point twice, so
+    a one-point init solve is its two-point grid's column bit for bit, on
+    all six fields: an init warm start, an init Z_i = i of two Bernoulli
+    summands, where F'(i) = 0 (the Newton step divides by zero, gives no
+    exception and no RuntimeWarning, and the sweep takes the step), and
+    one three-atom law started at Z = z."""
     warm = _mixed_pair() * 2
     for ms, z, init in ((warm, 0.35 + 0.07j, solve(warm, 0.3 + 0.07j).Z),
-                        ([Measure.bernoulli()] * 2, 0.3 + 0.5j, np.full(2, 1j))):
-        _same_point(solve_grid(ms, [z], init=init[:, None]),
-                    solve_grid(ms, [z, z], init=np.tile(init[:, None], 2)))
+                        ([Measure.bernoulli()] * 2, 0.3 + 0.5j, np.full(2, 1j)),
+                        ([_ONE_LAW], 0.77 + 1e-3j, np.full(1, 0.77 + 1e-3j))):
+        one = solve_grid(ms, [z], init=init[:, None])
+        two = solve_grid(ms, [z, z], init=np.tile(init[:, None], 2))
+        for a, b in zip(one, two):
+            assert np.array_equal(a[..., 0], b[..., 0])
 
 
 @pytest.mark.parametrize("zs", [[1j], [1j, 2j]], ids=["one-point", "grid"])
